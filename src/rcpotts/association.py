@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import Multigraph, component_count, is_connected, rank_corank
+from .graphs import Multigraph, edge_subsets, is_connected
 from .measures import MeasureTable, RCParams, rc_measure_table
 from .coupling import make_rng
 
@@ -212,18 +212,10 @@ def negative_association_checks(
     """
     m = table.space[1]
     mu = measure_vector(table)
-    full = (1 << (1 << m)) - 1
 
     # (a) edge negative association
-    edge_na = True
-    edge_witness = None
-    for e, f in combinations(range(m), 2):
-        je = sum(mu[a] for a in range(1 << m) if a >> e & 1)
-        jf = sum(mu[a] for a in range(1 << m) if a >> f & 1)
-        jef = sum(mu[a] for a in range(1 << m) if a >> e & 1 and a >> f & 1)
-        if jef > je * jf:
-            edge_na, edge_witness = False, (e, f)
-            break
+    edge = negative_association_checks_edge_only(table)
+    edge_na, edge_witness = edge["edge_na"], edge["witness"]
 
     # (b) negative association: increasing A on F, increasing B on complement
     na = True
@@ -305,20 +297,15 @@ def uniform_substructure_measure(g: Multigraph, kind: str) -> MeasureTable:
     subgraphs, as subsets of the bond space."""
     if kind in ("spanning-tree", "connected-subgraph") and not is_connected(g):
         raise ValueError(f"{kind} measure needs a connected graph")
-    support = []
-    for a in range(1 << g.m):
-        r, c = rank_corank(g, a)
-        k = g.n - r
-        if kind == "spanning-tree":
-            ok = c == 0 and k == 1
-        elif kind == "forest":
-            ok = c == 0
-        elif kind == "connected-subgraph":
-            ok = k == 1
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        if ok:
-            support.append(a)
+    if kind == "spanning-tree":
+        ok = lambda size, k: k == 1 and size == g.n - 1
+    elif kind == "forest":
+        ok = lambda size, k: size == g.n - k  # co-rank 0
+    elif kind == "connected-subgraph":
+        ok = lambda size, k: k == 1
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    support = [a for a, k, _ in edge_subsets(g) if ok(a.bit_count(), k)]
     w = Fraction(1, len(support))
     return MeasureTable(("bond", g.m), {a: w for a in support})
 

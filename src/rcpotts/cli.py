@@ -317,7 +317,7 @@ def run(argv=None) -> int:
     except EnumerationCapExceeded as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .graphs import Multigraph, component_count
+from .graphs import Multigraph, UnionFind
 from .measures import MeasureTable, connected_in
 from .polynomials import EnumerationCapExceeded
 
@@ -75,20 +75,11 @@ def joint_table(g: Multigraph, p: Fraction, q: int, cap: int = 1 << 20) -> Measu
 
 def open_clusters(g: Multigraph, bonds: int) -> list[int]:
     """Cluster label per vertex under the open edges of ``bonds``."""
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(g.n)
     for i, (u, v) in enumerate(g.edges):
         if bonds >> i & 1:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-    return [find(x) for x in range(g.n)]
+            uf.union(u, v)
+    return [uf.find(x) for x in range(g.n)]
 
 
 def spins_given_bonds(g: Multigraph, bonds: int, q: int, rng: np.random.Generator) -> tuple:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
 
-import networkx as nx
-
 from .graphs import Multigraph, is_connected
 
 _ATLAS = None
@@ -20,6 +18,8 @@ _ATLAS = None
 def _atlas():
     global _ATLAS
     if _ATLAS is None:
+        import networkx as nx  # about 18 MB resident: loaded only for the atlas
+
         _ATLAS = nx.graph_atlas_g()
     return _ATLAS
 

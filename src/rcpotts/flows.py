@@ -16,9 +16,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .graphs import Multigraph, is_even
+from .graphs import Multigraph, component_count
 from .measures import RCParams, rc_connection_prob, rc_partition
-from .coupling import batch_means, make_rng
+from .coupling import make_rng
 from .polynomials import EnumerationCapExceeded, TutteCache, eval_poly, tutte_poly
 
 DEFAULT_FLOW_CAP = 10**8
@@ -32,10 +32,6 @@ class OrientedMultigraph:
     def __post_init__(self):
         if len(self.directions) != self.graph.m:
             raise ValueError("one direction bit per edge required")
-
-
-def default_orientation(g: Multigraph) -> OrientedMultigraph:
-    return OrientedMultigraph(g, tuple([1] * g.m))
 
 
 def count_flows(
@@ -268,8 +264,6 @@ def flow_connection_mc(
 def _flow_value_real_q(g: Multigraph, q, cache: TutteCache):
     """Flow polynomial of g evaluated at (possibly real) q, through the
     Tutte polynomial: (-1)^(|E| - |V| + k) T(g; 0, 1-q)."""
-    from .graphs import component_count
-
     k = component_count(g, g.full_subset())
     t = eval_poly(tutte_poly(g, cache), 0, 1 - q)
     return (-1) ** (g.m - g.n + k) * t
@@ -305,7 +299,7 @@ def compflow_identity(
     )
     tail_bound = g.m * max(tail_one, 0.0) * per_edge_full ** max(g.m - 1, 0)
     prefactor = (1.0 - p) ** (g.m * (q - 2) / q) * q**g.n
-    z_rc = _rc_partition_float(g, p, q)
+    z_rc = float(rc_partition(g, RCParams(Fraction(p), Fraction(q))))
     deviation = abs(z_rc - prefactor * expect)
     allowed = prefactor * tail_bound + 1e-9 * abs(z_rc)
     return {
@@ -318,16 +312,6 @@ def compflow_identity(
         "pass": deviation <= allowed,
         "instances": 1,
     }
-
-
-def _rc_partition_float(g: Multigraph, p: float, q: float) -> float:
-    from .graphs import component_count
-
-    total = 0.0
-    for a in range(1 << g.m):
-        na = bin(a).count("1")
-        total += p**na * (1 - p) ** (g.m - na) * q ** component_count(g, a)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ just a bitmask over positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
 
 
 class EdgeSubsetError(ValueError):
@@ -74,7 +75,9 @@ def to_json_dict(g: Multigraph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets over 0..n-1; the root of ``x``'s set absorbs ``y``'s."""
+
     __slots__ = ("parent",)
 
     def __init__(self, n: int):
@@ -100,12 +103,43 @@ class _UnionFind:
 def component_count(g: Multigraph, a: int) -> int:
     """Number of connected components of (V, A), isolated vertices included."""
     g.check_subset(a)
-    uf = _UnionFind(g.n)
+    uf = UnionFind(g.n)
     k = g.n
     for i, (u, v) in enumerate(g.edges):
         if a >> i & 1 and uf.union(u, v):
             k -= 1
     return k
+
+
+def edge_subsets(g: Multigraph):
+    """Yield ``(a, k, labels)`` for every edge subset A, ``a`` ascending.
+
+    ``k`` is k(A), isolated vertices included; ``labels[x]`` is the smallest
+    vertex in x's cluster, so x and y are joined by A iff their labels agree.
+    Each subset is its parent ``a & (a - 1)`` plus its lowest edge t, merged
+    onto the parent's labels; slot t of an (m + 1)-entry stack keeps the
+    latest subset with lowest edge t and slot m (index -1) the empty subset,
+    so memory is O(m n) and nothing is cached.
+    """
+    stack = [(g.n, tuple(range(g.n)))] * (g.m + 1)
+    yield 0, g.n, stack[-1][1]
+    for a in range(1, 1 << g.m):
+        t = (a & -a).bit_length() - 1
+        rest = a & (a - 1)
+        k, labels = stack[(rest & -rest).bit_length() - 1]  # -1 when rest == 0
+        u, v = g.edges[t]
+        lo, hi = labels[u], labels[v]
+        if lo != hi:
+            lo, hi = min(lo, hi), max(lo, hi)
+            labels = tuple(lo if x == hi else x for x in labels)
+            k -= 1
+        stack[t] = k, labels
+        yield a, k, labels
+
+
+def subset_size_components(g: Multigraph) -> Counter:
+    """Number of edge subsets A per key (|A|, k(A))."""
+    return Counter((a.bit_count(), k) for a, k, _ in edge_subsets(g))
 
 
 def rank_corank(g: Multigraph, a: int) -> tuple[int, int]:
@@ -155,9 +189,10 @@ def canonical_key(g: Multigraph):
 
     Graphs that are equal as labelled multigraphs (same n, same edge multiset)
     share a key.  This is not isomorphism testing; it only has to be
-    deterministic so deletion-contraction memoization is sound.
+    deterministic so deletion-contraction memoization is sound.  The key is
+    flat, so a memo entry keeps none of the minor's edge tuples alive.
     """
-    return (g.n, tuple(sorted(g.edges)))
+    return (g.n, *chain.from_iterable(sorted(g.edges)))
 
 
 def is_even(g: Multigraph) -> bool:

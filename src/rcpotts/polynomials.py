@@ -8,7 +8,6 @@ All coefficients are exact big integers; evaluation takes exact rationals
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -18,7 +17,9 @@ from .graphs import (
     component_count,
     contract,
     delete,
+    edge_subsets,
     rank_corank,
+    subset_size_components,
 )
 
 DEFAULT_ENUM_CAP = 24  # 2^24 subsets ~ 16M, the brute-force boundary
@@ -48,9 +49,9 @@ class BivariatePolynomial:
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
-            for (i, j), c in dict(terms).items():
+            for k, c in dict(terms).items():
                 if c:
-                    self.terms[(i, j)] = c
+                    self.terms[k] = c
 
     @classmethod
     def zero(cls) -> "BivariatePolynomial":
@@ -84,6 +85,8 @@ class BivariatePolynomial:
         return BivariatePolynomial(out)
 
     def __mul__(self, other):
+        if self.terms == {(0, 0): 1} and isinstance(other, BivariatePolynomial):
+            return BivariatePolynomial(other.terms)  # shares other's key tuples
         if not isinstance(other, BivariatePolynomial):
             return BivariatePolynomial(
                 {k: c * other for k, c in self.terms.items()}
@@ -134,9 +137,6 @@ class BivariatePolynomial:
     def from_json_dict(cls, d: dict) -> "BivariatePolynomial":
         return cls({(t["i"], t["j"]): int(t["c"]) for t in d["terms"]})
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def eval_poly(p: BivariatePolynomial, x, y):
     """Exact evaluation; pass Fractions for exact results."""
@@ -147,16 +147,15 @@ def rank_gen_poly(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> BivariatePolyno
     """Whitney rank-generating function W(u, v) = sum over edge subsets of
     u^rank * v^corank, by direct enumeration of all 2^|E| subsets."""
     _check_cap(g.m, cap)
-    terms = {}
-    for a in range(1 << g.m):
-        r, c = rank_corank(g, a)
-        terms[(r, c)] = terms.get((r, c), 0) + 1
-    return BivariatePolynomial(terms)
+    return BivariatePolynomial(
+        {(g.n - k, size - g.n + k): count
+         for (size, k), count in subset_size_components(g).items()}
+    )
 
 
 class TutteCache:
-    """Bounded LRU memo table for deletion-contraction, keyed on the
-    deterministic canonical key of each minor."""
+    """Bounded LRU table of Tutte polynomials, keyed on the deterministic
+    canonical key of each graph; a miss is a polynomial computed."""
 
     def __init__(self, max_size: int = DEFAULT_CACHE_SIZE):
         self.max_size = max_size
@@ -197,11 +196,21 @@ def tutte_poly(g: Multigraph, cache: TutteCache | None = None) -> BivariatePolyn
     Loops and bridges are factored out eagerly (bridge -> factor x, loop ->
     factor y); any remaining edge is branched on as T = T(delete) +
     T(contract).  Satisfies T(x, y) = (x-1)^(|V|-1) W(1/(x-1), y-1) on
-    connected graphs.
+    connected graphs.  ``cache`` keeps T(g) only; the minors go in a memo of
+    the same size that lives for this call, so a cache kept across calls
+    grows by one entry per graph asked for, not by its hundreds of minors.
     """
     if cache is None:
         cache = _default_cache
-    return _tutte_rec(g, cache)
+    key = canonical_key(g)
+    result = cache.get(key)
+    if result is None:
+        memo = TutteCache(cache.max_size)
+        result = _tutte_rec(g, memo)
+        cache.put(key, result)
+        cache.hits += memo.hits
+        cache.misses += memo.misses - 1  # g's miss is counted once, above
+    return result
 
 
 def _tutte_rec(g: Multigraph, cache: TutteCache) -> BivariatePolynomial:
@@ -264,8 +273,8 @@ def multivariate_tutte(g: Multigraph, q: Fraction, weights, cap: int = DEFAULT_E
     if len(weights) != g.m:
         raise ValueError("need one weight per edge")
     total = 0
-    for a in range(1 << g.m):
-        prod = q ** component_count(g, a)
+    for a, k, _ in edge_subsets(g):
+        prod = q**k
         for i in range(g.m):
             if a >> i & 1:
                 prod *= weights[i]
@@ -303,10 +312,8 @@ def flow_poly(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> BivariatePolynomial
     sign_e = -1 if g.m % 2 else 1
     terms = {}
     for (r, c), coeff in w.terms.items():
-        s = sign_e * coeff * ((-1) ** (r + c))
-        if s:
-            terms[(c, 0)] = terms.get((c, 0), 0) + s
-    return BivariatePolynomial({k: v for k, v in terms.items() if v})
+        terms[(c, 0)] = terms.get((c, 0), 0) + sign_e * coeff * (-1) ** (r + c)
+    return BivariatePolynomial(terms)  # drops the coefficients that cancelled
 
 
 def count_proper_colourings(g: Multigraph, q: int) -> int:
@@ -327,9 +334,4 @@ def count_proper_colourings(g: Multigraph, q: int) -> int:
 
 def count_spanning_trees(g: Multigraph) -> int:
     """Spanning-tree count by subset enumeration (independent of T(1,1))."""
-    count = 0
-    for a in range(1 << g.m):
-        r, c = rank_corank(g, a)
-        if c == 0 and r == g.n - 1:
-            count += 1
-    return count
+    return subset_size_components(g)[(g.n - 1, 1)]

@@ -39,6 +39,21 @@ def bfs_component_count(g: Multigraph, a: int) -> int:
     return comps
 
 
+def bfs_reachable(g: Multigraph, a: int, x: int) -> set[int]:
+    """Vertices joined to x by the edges of the subset a."""
+    seen = {x}
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        for i, (s, t) in enumerate(g.edges):
+            if a >> i & 1 and u in (s, t):
+                w = t if u == s else s
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return seen
+
+
 def brute_force_flow_count(g: Multigraph, q: int) -> int:
     """Nowhere-zero mod-q flow count, fixed orientation u -> v."""
     if g.m == 0:

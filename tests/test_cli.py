@@ -133,6 +133,11 @@ class TestErrors:
     def test_bad_rational(self, capsys, triangle_file):
         assert run(["rc-partition", "--graph", triangle_file, "--p", "x", "--q", "2"]) == 1
 
+    def test_float_overflow_exits_one(self, capsys, triangle_file):
+        argv = ["potts-partition", "--graph", triangle_file, "--beta", "1000", "--q", "2"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_command_usage(self, capsys):
         assert run(["definitely-not-a-command"]) == 1
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcpotts.coupling import make_rng
+from rcpotts.families import random_multigraph
 from rcpotts.graphs import (
     EdgeSubsetError,
     Multigraph,
@@ -12,12 +14,13 @@ from rcpotts.graphs import (
     contract,
     cycle,
     delete,
+    edge_subsets,
     is_even,
     path,
     rank_corank,
     triangle,
 )
-from .conftest import bfs_component_count
+from .conftest import bfs_component_count, bfs_reachable
 
 
 @st.composite
@@ -52,6 +55,30 @@ class TestComponentCount:
     def test_matches_bfs_oracle(self, ga):
         g, a = ga
         assert component_count(g, a) == bfs_component_count(g, a)
+
+
+def _check_subset_kernel(g: Multigraph):
+    masks = []
+    for a, k, labels in edge_subsets(g):
+        masks.append(a)
+        assert k == bfs_component_count(g, a)
+        for x in range(g.n):
+            reach = bfs_reachable(g, a, x)
+            assert all((labels[x] == labels[y]) == (y in reach) for y in range(g.n))
+    assert masks == list(range(1 << g.m))
+
+
+class TestEdgeSubsets:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 7), st.integers(0, 2**32 - 1))
+    def test_matches_bfs_oracle(self, n, m, seed):
+        # loops, parallel edges and isolated vertices all occur in these draws
+        _check_subset_kernel(random_multigraph(n, m, make_rng(seed), loops=True))
+
+    def test_many_vertices(self):
+        g = Multigraph(300, ((0, 1), (0, 1), (2, 2)))
+        _check_subset_kernel(g)
+        assert [k for _, k, _ in edge_subsets(g)] == [300, 299, 299, 299, 300, 299, 299, 299]
 
 
 class TestRankCorank:

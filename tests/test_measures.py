@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rcpotts.families import simple_graphs
-from rcpotts.graphs import Multigraph, cycle, triangle
+from rcpotts.graphs import Multigraph, complete, cycle, triangle
 from rcpotts.measures import (
     MeasureTable,
     PottsParams,
@@ -24,7 +24,7 @@ from rcpotts.measures import (
     verify_partition_identity,
     zero_temperature_check,
 )
-from rcpotts.polynomials import multivariate_tutte
+from rcpotts.polynomials import EnumerationCapExceeded, multivariate_tutte
 
 F = Fraction
 EDGE = Multigraph(2, ((0, 1),))
@@ -107,6 +107,10 @@ class TestPotts:
             triangle(), PottsParams(beta=30.0, q=3, couplings=(-1, -1, -1))
         )
         assert z == pytest.approx(6.0, abs=1e-9)
+
+    def test_two_point_honours_spin_cap(self):
+        with pytest.raises(EnumerationCapExceeded):
+            potts_two_point(complete(16), PottsParams(beta=1.0, q=3), 0, 1, cap=1000)
 
     def test_two_point_beta_zero(self):
         assert potts_two_point(EDGE, PottsParams(beta=0.0, q=2), 0, 1) == pytest.approx(0.0)

@@ -77,6 +77,16 @@ class TestTutte:
         tiny = TutteCache(max_size=4)
         assert tutte_poly(cycle(5), tiny) == tutte_poly(cycle(5))
 
+    def test_cache_keeps_asked_graphs_not_minors(self):
+        cache = TutteCache()
+        g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)))
+        t = tutte_poly(g, cache)
+        assert len(cache._table) == 1
+        assert cache.misses > 1  # the minors were computed, then dropped
+        misses = cache.misses
+        assert tutte_poly(g, cache) is t
+        assert cache.misses == misses and cache.hits >= 1
+
 
 class TestMultivariateTutte:
     def test_single_edge(self):
