@@ -2,9 +2,11 @@
 flow/connection identities, and the Simon inequality harness.
 
 Two independent routes to flow counts coexist deliberately: a brute-force
-enumerator over edge values (the oracle) and a bundle formula that sums over
-flows of the base graph weighted by the number of ways to split each value
-across a bundle of parallel edges (fast enough for Monte Carlo).
+enumerator over edge values (the oracle) and parallel reduction, which merges
+each bundle of parallel edges into one edge of the multivariate Tutte sum so
+that a Poisson-thickened graph's flow polynomial, at integer, rational or
+real q, is one pass over its base graph's edge subsets (fast enough for
+Monte Carlo).
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from numbers import Integral
 
 import numpy as np
 
-from .graphs import Multigraph, component_count
+from .graphs import Multigraph, subset_size_components
 from .measures import RCParams, rc_connection_prob, rc_partition
 from .coupling import make_rng
-from .polynomials import EnumerationCapExceeded, TutteCache, eval_poly, tutte_poly
+from .polynomials import DEFAULT_ENUM_CAP, EnumerationCapExceeded, _check_cap, multivariate_tutte
 
 DEFAULT_FLOW_CAP = 10**8
 
@@ -82,54 +85,30 @@ def orientation_invariance_check(g: Multigraph, q: int, n_orientations: int = 20
 
 
 # ---------------------------------------------------------------------------
-# Bundle route: flows on a base graph whose edge e carries m_e parallel
-# copies.  The number of ways to write a total s (mod q) as an ordered sum of
-# m non-zero values is q-independent of the graph and has a closed form.
+# Parallel reduction.  In the multivariate Tutte sum Z_G(q, v) = sum over A of
+# q^k(A) prod_{e in A} v_e (Sokal 2005), a bundle of m parallel edges acts as
+# one edge with 1 + v = prod (1 + v_i), and C(G; q) = (-1)^|E| q^-|V| Z_G(q, -q).
+# So a base edge carrying m_e copies has v_e = (1 - q)^m_e - 1, and the flow
+# count of a thickened graph is one pass over the base graph's edge subsets.
 
-def _bundle_ways(m: int, s_is_zero: bool, q):
-    """Sequences of length m over {1..q-1} with prescribed sum class mod q.
+def flow_count_multiplicities(g: Multigraph, mult, q):
+    """Flow polynomial at q of the thickened graph G_m, whose base edge e
+    carries mult[e] parallel copies:
 
-    Valid for symbolic/real q as well: the expressions are polynomials in q.
+        C(G_m; q) = (-1)^(sum m) q^-|V| sum_A q^k(A) prod_{e in A} ((1-q)^m_e - 1).
+
+    Integer q gives an exact int, for q >= 2 the nowhere-zero flow count; a
+    Fraction q gives a Fraction and a float q a float.
     """
-    if s_is_zero:
-        return ((q - 1) ** m + (-1) ** m * (q - 1)) / q
-    return ((q - 1) ** m - (-1) ** m) / q
-
-
-def flow_count_multiplicities(g: Multigraph, mult, q) -> object:
-    """Nowhere-zero flow count of the thickened graph G_m.
-
-    Sums over all mod-q values on base edges (zero allowed) satisfying
-    conservation, weighting each base edge by the number of bundle splits.
-    With integer q this is the exact flow count; with Fraction/float q it is
-    the flow polynomial of G_m evaluated at q.
-    """
-    mult = list(mult)
-    if len(mult) != g.m:
-        raise ValueError("one multiplicity per base edge")
-    if isinstance(q, int) and q < 2:
-        raise ValueError("integer q must be >= 2")
-    if float(q) != int(q):
-        raise ValueError("flow_count_multiplicities needs integer q")
-    qint = int(q)
-    total = 0
-    for values in product(range(qint), repeat=g.m):
-        net = [0] * g.n
-        ok = True
-        for (u, v), f in zip(g.edges, values):
-            if u != v:
-                net[u] += f
-                net[v] -= f
-        if any(x % qint != 0 for x in net):
-            continue
-        w = 1
-        for m_e, s in zip(mult, values):
-            w *= _bundle_ways(m_e, s == 0, Fraction(qint))
-            if w == 0:
-                break
-        total += w
-    assert total == int(total)
-    return int(total)
+    if isinstance(q, Integral):
+        q = int(q)  # numpy integers too: exact, and no fixed-width overflow
+    mult = [int(m_e) for m_e in mult]
+    total = multivariate_tutte(g, q, [(1 - q) ** m_e - 1 for m_e in mult])
+    if isinstance(q, int):
+        count, rem = divmod(total, q**g.n)
+        assert rem == 0, "flow sum not divisible by q^|V|"
+        return (-1) ** sum(mult) * count
+    return (-1) ** sum(mult) * total / q**g.n
 
 
 @dataclass(frozen=True)
@@ -147,40 +126,45 @@ class PoissonGraphSample:
         return Multigraph(self.base.n, tuple(edges))
 
 
+def _poisson_draws(g: Multigraph, lam: float, rng: np.random.Generator, samples: int) -> np.ndarray:
+    """Independent Poisson(lam) multiplicities, one row of |E| per sample;
+    the same stream as ``samples`` successive calls of ``poisson_sample``."""
+    if lam < 0:
+        raise ValueError("intensity must be non-negative")
+    return rng.poisson(lam, size=(samples, g.m))
+
+
 def poisson_sample(
     g: Multigraph, lam: float, rng: np.random.Generator, attach: tuple | None = None
 ) -> PoissonGraphSample:
     """Independent Poisson(lam) multiplicity per base edge; ``attach`` adds
     one extra (x, y) edge on top."""
-    if lam < 0:
-        raise ValueError("intensity must be non-negative")
-    mult = tuple(int(k) for k in rng.poisson(lam, size=g.m))
-    return PoissonGraphSample(g, mult, attach)
+    return PoissonGraphSample(g, tuple(_poisson_draws(g, lam, rng, 1)[0].tolist()), attach)
 
 
 def _extended(g: Multigraph, x: int, y: int) -> Multigraph:
     return Multigraph(g.n, g.edges + ((x, y),))
 
 
-def flow_correlation_mc(
-    g: Multigraph, lam: float, q: int, x: int, y: int, cfg
-) -> dict:
-    """Estimate E[C(G_P^{x,y}; q)] / E[C(G_P; q)] over Poisson thickenings.
+def flow_correlation_mc(g: Multigraph, lam: float, q, x: int, y: int, cfg) -> dict:
+    """Estimate E[C(G_P^{x,y}; q)] / E[C(G_P; q)] over ``cfg.samples``
+    Poisson(lam) thickenings, evaluating G and its (x, y)-extension once per
+    distinct multiplicity tuple.  The extension has |E| + 1 edges, so G may
+    have at most DEFAULT_ENUM_CAP - 1.
 
     Under the beta = lam*q bridge this ratio equals q*tau_{beta,q}(x,y).
     """
     if x == y:
         raise ValueError("x and y must be distinct")
-    rng = make_rng(cfg.seed)
     gx = _extended(g, x, y)
-    nums, dens = [], []
-    for _ in range(cfg.samples):
-        s = poisson_sample(g, lam, rng)
-        dens.append(flow_count_multiplicities(g, s.multiplicities, q))
-        nums.append(
-            flow_count_multiplicities(gx, s.multiplicities + (1,), q)
-        )
-    return _ratio_estimate(nums, dens)
+    _check_cap(gx.m, DEFAULT_ENUM_CAP)
+    draws = _poisson_draws(g, lam, make_rng(cfg.seed), cfg.samples)
+    draws = [tuple(row) for row in draws.tolist()]
+    values = {
+        mult: (flow_count_multiplicities(gx, mult + (1,), q), flow_count_multiplicities(g, mult, q))
+        for mult in dict.fromkeys(draws)
+    }
+    return _ratio_estimate([values[m][0] for m in draws], [values[m][1] for m in draws])
 
 
 def _ratio_estimate(nums, dens) -> dict:
@@ -200,73 +184,38 @@ def _ratio_estimate(nums, dens) -> dict:
     return {"estimate": estimate, "se": se, "n": len(nums)}
 
 
-def _even_with_mult(g: Multigraph, mult, extra: tuple | None = None) -> bool:
-    deg = [0] * g.n
-    for (u, v), m_e in zip(g.edges, mult):
-        if u != v:
-            deg[u] += m_e
-            deg[v] += m_e
-    if extra is not None and extra[0] != extra[1]:
-        deg[extra[0]] += 1
-        deg[extra[1]] += 1
-    return all(d % 2 == 0 for d in deg)
-
-
 def even_ratio_mc(g: Multigraph, lam: float, x: int, y: int, cfg) -> dict:
     """Estimate Pr(G_P^{x,y} even) / Pr(G_P even); the q = 2 special case of
     the flow-correlation ratio, using only degree parities."""
     if x == y:
         raise ValueError("x and y must be distinct")
-    rng = make_rng(cfg.seed)
-    nums, dens = [], []
-    for _ in range(cfg.samples):
-        s = poisson_sample(g, lam, rng)
-        nums.append(1 if _even_with_mult(g, s.multiplicities, (x, y)) else 0)
-        dens.append(1 if _even_with_mult(g, s.multiplicities) else 0)
-    return _ratio_estimate(nums, dens)
+    draws = _poisson_draws(g, lam, make_rng(cfg.seed), cfg.samples)
+    incidence = np.zeros((g.m, g.n), dtype=np.int64)
+    for i, (u, v) in enumerate(g.edges):
+        if u != v:
+            incidence[i, [u, v]] = 1
+    odd = draws @ incidence % 2
+    odd_xy = odd.copy()
+    odd_xy[:, [x, y]] ^= 1
+    return _ratio_estimate(~odd_xy.any(axis=1), ~odd.any(axis=1))
 
 
 def flow_connection_mc(
-    g: Multigraph, p: float, q, x: int, y: int, cfg, cache: TutteCache | None = None
+    g: Multigraph, p: float, q, x: int, y: int, cfg, cache=None
 ) -> dict:
     """Real-q flow/connection ratio over Poisson thickenings.
 
-    With lam solving p = 1 - e^(-lam q), estimates the ratio of expected
-    signed Tutte evaluations at (0, 1-q) of G_P^{x,y} and G_P, which equals
-    (q-1) phi_{p,q}(x <-> y).
-
-    The per-sample value is the flow-polynomial evaluation
-    (-1)^(|E| - |V| + k) T(G; 0, 1-q): on connected samples this is exactly
-    the signed term (-1)^(|V|-1+|E|) ... (-1)^|E| T of the identity, and it
-    extends it coherently to samples with isolated vertices (where the sign
-    must track the component count, not just |E|).
+    With lam solving p = 1 - e^(-lam q), estimates the ratio of the expected
+    flow-polynomial values C(G_P^{x,y}; q) and C(G_P; q), which equals
+    (q-1) phi_{p,q}(x <-> y).  On connected samples C(G; q) is the signed
+    Tutte term (-1)^(|V|-1+|E|) ... (-1)^|E| T(G; 0, 1-q) of the identity;
+    on samples with isolated vertices the sign tracks the component count.
+    ``cache`` is no longer used: parallel reduction needs no Tutte table.
     """
-    if x == y:
-        raise ValueError("x and y must be distinct")
     if not (0 < p < 1) or not float(q) > 0:
         raise ValueError("need p in (0,1) and q > 0")
     lam = -math.log(1.0 - p) / float(q)
-    rng = make_rng(cfg.seed)
-    if cache is None:
-        cache = TutteCache()
-    nums, dens = [], []
-    for _ in range(cfg.samples):
-        s = poisson_sample(g, lam, rng)
-        dens.append(_flow_value_real_q(s.realize(), q, cache))
-        nums.append(
-            _flow_value_real_q(
-                PoissonGraphSample(g, s.multiplicities, (x, y)).realize(), q, cache
-            )
-        )
-    return {**_ratio_estimate(nums, dens), "lambda": lam}
-
-
-def _flow_value_real_q(g: Multigraph, q, cache: TutteCache):
-    """Flow polynomial of g evaluated at (possibly real) q, through the
-    Tutte polynomial: (-1)^(|E| - |V| + k) T(g; 0, 1-q)."""
-    k = component_count(g, g.full_subset())
-    t = eval_poly(tutte_poly(g, cache), 0, 1 - q)
-    return (-1) ** (g.m - g.n + k) * t
+    return {**flow_correlation_mc(g, lam, q, x, y, cfg), "lambda": lam}
 
 
 def _poisson_pmf(lam: float, m: int) -> float:
@@ -279,24 +228,28 @@ def compflow_identity(
     """Exact-truncation check of the partition/flow identity
     Z_RC(p, q) = (1-p)^(|E|(q-2)/q) q^|V| E[C(G_P; q)] with p = 1 - e^(-lam q).
 
-    The expectation is truncated at multiplicity m_max per edge; the tail is
-    bounded through C(G_m; q) <= (q-1)^(sum of multiplicities).
+    The expectation is truncated at multiplicity m_max per edge.  Under
+    parallel reduction it factorises per edge: an edge with multiplicity m
+    contributes (-1)^m outside A and (q-1)^m - (-1)^m inside, so with a0 and
+    a1 their truncated Poisson means the expectation is
+    q^-|V| sum_A q^k(A) a1^|A| a0^(|E|-|A|).  The tail is bounded through
+    C(G_m; q) <= (q-1)^(sum of multiplicities).
     """
     if q < 2:
         raise ValueError("q must be an integer >= 2")
+    _check_cap(g.m, DEFAULT_ENUM_CAP)
     lam = -math.log(1.0 - p) / q
-    # truncated expectation
-    expect = 0.0
-    for mult in product(range(m_max + 1), repeat=g.m):
-        pmf = 1.0
-        for m_e in mult:
-            pmf *= _poisson_pmf(lam, m_e)
-        expect += pmf * flow_count_multiplicities(g, mult, q)
+    pmf = [_poisson_pmf(lam, m) for m in range(m_max + 1)]
+    a0 = sum(w * (-1) ** m for m, w in enumerate(pmf))
+    truncated_full = sum(w * (q - 1) ** m for m, w in enumerate(pmf))
+    a1 = truncated_full - a0
+    expect = sum(
+        c * q**k * a1**size * a0 ** (g.m - size)
+        for (size, k), c in subset_size_components(g).items()
+    ) / q**g.n
     # tail bound: union over edges exceeding m_max
     per_edge_full = math.exp(lam * (q - 2))  # E[(q-1)^M]
-    tail_one = per_edge_full - sum(
-        _poisson_pmf(lam, m) * (q - 1) ** m for m in range(m_max + 1)
-    )
+    tail_one = per_edge_full - truncated_full
     tail_bound = g.m * max(tail_one, 0.0) * per_edge_full ** max(g.m - 1, 0)
     prefactor = (1.0 - p) ** (g.m * (q - 2) / q) * q**g.n
     z_rc = float(rc_partition(g, RCParams(Fraction(p), Fraction(q))))

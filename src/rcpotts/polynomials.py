@@ -9,7 +9,6 @@ All coefficients are exact big integers; evaluation takes exact rationals
 from __future__ import annotations
 
 from collections import OrderedDict
-from fractions import Fraction
 
 from .graphs import (
     Multigraph,
@@ -266,19 +265,28 @@ def tutte_from_rank_gen(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> Bivariate
     return out
 
 
-def multivariate_tutte(g: Multigraph, q: Fraction, weights, cap: int = DEFAULT_ENUM_CAP):
-    """Partition sum over edge subsets A of q^k(A) * prod of edge weights in A."""
+def multivariate_tutte(g: Multigraph, q, weights, cap: int = DEFAULT_ENUM_CAP):
+    """Partition sum over edge subsets A of q^k(A) * prod of edge weights in A.
+
+    Exact for int or ``Fraction`` q and weights, float otherwise.  A subset's
+    weight product is its parent's times its lowest edge's weight, stacked in
+    (m + 1) slots in the order of ``edge_subsets``; subsets holding a zero
+    weight add nothing and are skipped.
+    """
     _check_cap(g.m, cap)
     weights = list(weights)
     if len(weights) != g.m:
         raise ValueError("need one weight per edge")
+    q_pow = [q**k for k in range(g.n + 1)]
+    prods = [1] * (g.m + 1)  # slot t: latest subset with lowest edge t; -1: empty
     total = 0
     for a, k, _ in edge_subsets(g):
-        prod = q**k
-        for i in range(g.m):
-            if a >> i & 1:
-                prod *= weights[i]
-        total += prod
+        t = (a & -a).bit_length() - 1
+        if a:
+            rest = a & (a - 1)
+            prods[t] = prods[(rest & -rest).bit_length() - 1] * weights[t]
+        if prods[t]:
+            total += prods[t] * q_pow[k]
     return total
 
 

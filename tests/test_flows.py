@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rcpotts.coupling import SamplerConfig, make_rng
-from rcpotts.families import connected_multigraphs_upto, simple_graphs
+from rcpotts.families import connected_multigraphs_upto, random_multigraph, simple_graphs
 from rcpotts.flows import (
     OrientedMultigraph,
     PoissonGraphSample,
@@ -21,7 +24,7 @@ from rcpotts.flows import (
 )
 from rcpotts.graphs import Multigraph, cycle, is_even, path, triangle
 from rcpotts.measures import RCParams, rc_connection_prob
-from rcpotts.polynomials import EnumerationCapExceeded
+from rcpotts.polynomials import EnumerationCapExceeded, eval_poly, flow_poly
 
 F = Fraction
 
@@ -75,6 +78,73 @@ class TestBundleRoute:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             flow_count_multiplicities(triangle(), [1, 1], 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 4), st.sampled_from([0.5, 1.0]), st.integers(0, 2**32 - 1))
+    def test_matches_independent_routes(self, n, m, lam, seed):
+        rng = make_rng(seed)
+        g = random_multigraph(n, m, rng, loops=True)
+        mult = poisson_sample(g, lam, rng).multiplicities
+        assume(sum(mult) <= 8)
+        realized = PoissonGraphSample(g, mult).realize()
+        for q in (2, 3, 4):
+            assert flow_count_multiplicities(g, mult, q) == count_flows(realized, q)
+        flow = flow_poly(realized)  # the rank-generating route, valid at real q
+        for q in (F(3, 2), F(5, 2)):
+            assert flow_count_multiplicities(g, mult, q) == eval_poly(flow, q, 0)
+
+    def test_number_types_follow_q(self):
+        g, mult = Multigraph(3, ((0, 1), (1, 2), (0, 2), (1, 1))), (2, 0, 3, 1)
+        assert type(flow_count_multiplicities(g, mult, 3)) is int
+        assert type(flow_count_multiplicities(g, mult, np.int64(3))) is int
+        exact = flow_count_multiplicities(g, mult, F(5, 2))
+        assert isinstance(exact, Fraction)
+        assert flow_count_multiplicities(g, mult, 2.5) == pytest.approx(float(exact), rel=1e-12)
+
+
+# The estimators also enumerate the (x, y)-extension, one edge more than the
+# base graph, so they refuse 24 base edges; the others refuse 25.
+@pytest.mark.parametrize(
+    ("call", "m"),
+    [
+        (lambda g: flow_count_multiplicities(g, [1] * g.m, 3), 25),
+        (lambda g: compflow_identity(g, 0.5, 2), 25),
+        (lambda g: flow_correlation_mc(g, 0.5, 3, 0, 1, SamplerConfig(samples=10)), 24),
+        (lambda g: flow_connection_mc(g, 0.5, 2, 0, 1, SamplerConfig(samples=10)), 24),
+    ],
+    ids=["flow_count_multiplicities", "compflow_identity", "flow_correlation_mc", "flow_connection_mc"],
+)
+def test_enumeration_cap(call, m):
+    with pytest.raises(EnumerationCapExceeded):
+        call(Multigraph(2, ((0, 1),) * m))
+
+
+# (estimate, se, n) of flow_correlation_mc (lam = 1/2, q = 3), flow_connection_mc
+# (p = 1/2, q = 3/2; with lambda) and even_ratio_mc (lam = 1/2) at 400 samples,
+# recorded when every sample still drew its own multiplicities: the batched
+# Poisson draw must reproduce that stream exactly.
+SEEDED_STREAMS = {
+    ("triangle", 1): ((1.5056179775280898, 0.2985688567911294, 400), (0.22578505086245027, 0.10182188703002054, 400, 0.46209812037329684), (0.607843137254902, 0.11306722783415721, 400)),
+    ("triangle", 2): ((1.5824915824915824, 0.2143471323355582, 400), (0.2788309636650869, 0.06885296732786654, 400, 0.46209812037329684), (0.6962962962962962, 0.10985975655441259, 400)),
+    ("triangle", 3): ((1.5813953488372092, 0.15129197306158038, 400), (0.33313397129186606, 0.0885013115415548, 400, 0.46209812037329684), (0.6461538461538461, 0.17787240562389567, 400)),
+    ("C4", 1): ((1.0061349693251533, 0.19000115563685413, 400), (0.1453369639210347, 0.04286692624601394, 400, 0.46209812037329684), (0.36363636363636365, 0.06959567738844423, 400)),
+    ("C4", 2): ((1.4031413612565447, 0.23709465163377821, 400), (0.15668662674650696, 0.10341058382344955, 400, 0.46209812037329684), (0.4642857142857143, 0.10065971074032076, 400)),
+    ("C4", 3): ((1.0502793296089385, 0.2606252948279081, 400), (0.2278876170655567, 0.08141252364181745, 400, 0.46209812037329684), (0.4117647058823529, 0.12768711455407725, 400)),
+}
+
+
+@pytest.mark.parametrize(("name", "seed"), list(SEEDED_STREAMS))
+def test_seeded_streams_unchanged(name, seed):
+    g, x, y = {"triangle": (triangle(), 0, 1), "C4": (cycle(4), 0, 2)}[name]
+    cfg = SamplerConfig(seed=seed, samples=400)
+    corr = flow_correlation_mc(g, 0.5, 3, x, y, cfg)
+    conn = flow_connection_mc(g, 0.5, F(3, 2), x, y, cfg)
+    even = even_ratio_mc(g, 0.5, x, y, cfg)
+    assert (
+        (corr["estimate"], corr["se"], corr["n"]),
+        (conn["estimate"], conn["se"], conn["n"], conn["lambda"]),
+        (even["estimate"], even["se"], even["n"]),
+    ) == SEEDED_STREAMS[name, seed]
 
 
 class TestPoissonSampling:
@@ -130,6 +200,12 @@ class TestFlowConnection:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             flow_connection_mc(triangle(), 1.2, 2, 0, 1, SamplerConfig())
+
+    def test_q_one_gives_zero_for_every_number_type(self):
+        # C(G; 1) = 0 on every sample graph with an edge, so (q-1) phi = 0
+        cfg = SamplerConfig(seed=5, samples=200)
+        for q in (1, F(1), 1.0):
+            assert flow_connection_mc(triangle(), 0.3, q, 0, 1, cfg)["estimate"] == 0.0
 
 
 class TestCompflow:

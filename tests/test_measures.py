@@ -112,6 +112,15 @@ class TestPotts:
         with pytest.raises(EnumerationCapExceeded):
             potts_two_point(complete(16), PottsParams(beta=1.0, q=3), 0, 1, cap=1000)
 
+    def test_two_point_exact_honours_spin_cap(self):
+        with pytest.raises(EnumerationCapExceeded):
+            potts_two_point_exact(complete(16), 3, F(2), 0, 1, cap=1000)
+
+    def test_corr_conn_checks_spin_cap_before_enumerating(self):
+        # 3^15 spin states, above the default cap; no edges, so the bond cap passes
+        with pytest.raises(EnumerationCapExceeded):
+            verify_corr_conn(Multigraph(15, ()), F(1, 2), 3)
+
     def test_two_point_beta_zero(self):
         assert potts_two_point(EDGE, PottsParams(beta=0.0, q=2), 0, 1) == pytest.approx(0.0)
 
