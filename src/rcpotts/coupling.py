@@ -15,9 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from .graphs import Multigraph, UnionFind
-from .measures import MeasureTable, connected_in
-from .polynomials import EnumerationCapExceeded
+from .graphs import EnumerationCapExceeded, Multigraph, UnionFind, spin_configs
+from .measures import MeasureTable, _check_vertices, connected_in
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,16 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def satisfies_coupling_event(g: Multigraph, spins, bonds: int) -> bool:
     """The event F: spins constant across every open edge."""
-    return all(
-        spins[u] == spins[v] for i, (u, v) in enumerate(g.edges) if bonds >> i & 1
-    )
+    return all(spins[u] == spins[v] for u, v in g.subset_edges(bonds))
+
+
+def _subsets(mask: int):
+    """Yield the subsets of the bitmask ``mask`` in ascending order."""
+    sub = 0
+    yield sub
+    while sub != mask:
+        sub = (sub - mask) & mask
+        yield sub
 
 
 def joint_table(g: Multigraph, p: Fraction, q: int, cap: int = 1 << 20) -> MeasureTable:
@@ -59,14 +65,11 @@ def joint_table(g: Multigraph, p: Fraction, q: int, cap: int = 1 << 20) -> Measu
     p = Fraction(p)
     if q**g.n * (1 << g.m) > cap:
         raise EnumerationCapExceeded("joint space above cap")
+    by_size = [p**k * (1 - p) ** (g.m - k) for k in range(g.m + 1)]
     weights = {}
-    for spins in product(range(q), repeat=g.n):
-        for bonds in range(1 << g.m):
-            if satisfies_coupling_event(g, spins, bonds):
-                nb = bin(bonds).count("1")
-                weights[JointConfig(spins, bonds)] = (
-                    p**nb * (1 - p) ** (g.m - nb)
-                )
+    for spins, agree in spin_configs(g, q, cap):
+        for bonds in _subsets(agree):
+            weights[JointConfig(spins, bonds)] = by_size[bonds.bit_count()]
     z = sum(weights.values())
     return MeasureTable(
         ("joint", g.n, q, g.m), {cfg: w / z for cfg, w in weights.items()}
@@ -148,6 +151,7 @@ def estimate_two_point(g: Multigraph, samples, x: int, y: int, q: int) -> dict:
     sigma_y)) - 1/q and the bond-connection estimate, each with a
     batch-means standard error.
     """
+    _check_vertices(g, x, y)
     agree = []
     conn = []
     for cfg in samples:
@@ -173,28 +177,19 @@ def kernel_step_distribution(g: Multigraph, table: MeasureTable, p: Fraction, q:
     Works on joint spaces of at most a few hundred states.
     """
     p = Fraction(p)
+    agree = dict(spin_configs(g, q))
     out: dict = {}
     for cfg, prob in table.probs.items():
-        # bonds given spins: product over edges
-        spins = cfg.spins
-        agreeing = [i for i, (u, v) in enumerate(g.edges) if spins[u] == spins[v]]
-        for sub in range(1 << len(agreeing)):
-            bonds = 0
-            w_b = Fraction(1)
-            for pos, i in enumerate(agreeing):
-                if sub >> pos & 1:
-                    bonds |= 1 << i
-                    w_b *= p
-                else:
-                    w_b *= 1 - p
+        # bonds given spins: each agreeing edge open with probability p
+        n_agree = agree[cfg.spins].bit_count()
+        for bonds in _subsets(agree[cfg.spins]):
+            w_b = p ** bonds.bit_count() * (1 - p) ** (n_agree - bonds.bit_count())
             # spins given bonds: uniform per cluster
             labels = open_clusters(g, bonds)
-            k = len(set(labels))
-            w_s = Fraction(1, q**k)
-            for new_spins in product(range(q), repeat=k):
-                roots = sorted(set(labels))
+            roots = sorted(set(labels))
+            w = prob * w_b / q ** len(roots)
+            for new_spins in product(range(q), repeat=len(roots)):
                 lut = dict(zip(roots, new_spins))
-                s2 = tuple(lut[l] for l in labels)
-                key = JointConfig(s2, bonds)
-                out[key] = out.get(key, Fraction(0)) + prob * w_b * w_s
+                key = JointConfig(tuple(lut[l] for l in labels), bonds)
+                out[key] = out.get(key, Fraction(0)) + w
     return MeasureTable(table.space, {k: v for k, v in out.items() if v})

@@ -15,15 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .graphs import Multigraph, UnionFind, edge_subsets, is_connected, subset_size_components
-from .polynomials import (
-    EnumerationCapExceeded,
-    TutteCache,
-    eval_poly,
-    tutte_poly,
-)
+from .graphs import DEFAULT_SPIN_CAP, Multigraph, UnionFind, edge_subsets, is_connected, spin_configs, subset_size_components
+from .polynomials import DEFAULT_ENUM_CAP, TutteCache, _check_cap, eval_poly, tutte_poly
 
-DEFAULT_SPIN_CAP = 10**7
 DEFAULT_BOND_CAP = 20
 
 
@@ -89,20 +83,6 @@ class MeasureTable:
         return sum(f(cfg) * p for cfg, p in self.probs.items())
 
 
-def _spin_configs(n: int, q: int):
-    return product(range(q), repeat=n)
-
-
-def _check_bond_cap(g: Multigraph, cap: int) -> None:
-    if g.m > cap:
-        raise EnumerationCapExceeded(f"{g.m} edges above cap {cap}")
-
-
-def _check_spin_cap(g: Multigraph, q: int, cap: int) -> None:
-    if q**g.n > cap:
-        raise EnumerationCapExceeded(f"{q}^{g.n} spin states above cap {cap}")
-
-
 def _rc_sum(g: Multigraph, params: RCParams, counts) -> Fraction:
     """Total random-cluster weight p^|A| (1-p)^(|E|-|A|) q^k(A) of the edge
     subsets A counted per key (|A|, k(A)) in ``counts``."""
@@ -110,20 +90,25 @@ def _rc_sum(g: Multigraph, params: RCParams, counts) -> Fraction:
     return sum(c * p**size * (1 - p) ** (g.m - size) * q**k for (size, k), c in counts.items())
 
 
-def rc_partition(g: Multigraph, params: RCParams, cap: int = 24) -> Fraction:
+def rc_partition(g: Multigraph, params: RCParams, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Random-cluster partition function by subset enumeration, exact."""
-    _check_bond_cap(g, cap)
+    _check_cap(g.m, cap)
     return _rc_sum(g, params, subset_size_components(g))
 
 
 def rc_measure_table(g: Multigraph, params: RCParams, cap: int = DEFAULT_BOND_CAP) -> MeasureTable:
-    _check_bond_cap(g, cap)
+    _check_cap(g.m, cap)
     counts = subset_size_components(g)
     z = _rc_sum(g, params, counts)
     prob = {key: _rc_sum(g, params, {key: 1}) / z for key in counts}
     return MeasureTable(
         ("bond", g.m), {a: prob[a.bit_count(), k] for a, k, _ in edge_subsets(g)}
     )
+
+
+def _check_vertices(g: Multigraph, *vertices: int) -> None:
+    if not all(0 <= x < g.n for x in vertices):
+        raise ValueError("vertex out of range")
 
 
 def connected_in(g: Multigraph, a: int, x: int, y: int) -> bool:
@@ -149,108 +134,111 @@ def _connection_probs(g: Multigraph, params: RCParams, pairs) -> dict:
     return {pair: _rc_sum(g, params, hit) / z for pair, hit in hits.items()}
 
 
-def rc_connection_prob(g: Multigraph, params: RCParams, x: int, y: int, cap: int = 24) -> Fraction:
+def rc_connection_prob(g: Multigraph, params: RCParams, x: int, y: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """phi_{p,q}(x <-> y), exact."""
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise ValueError("vertex out of range")
+    _check_vertices(g, x, y)
     if x == y:
         return Fraction(1)
-    _check_bond_cap(g, cap)
+    _check_cap(g.m, cap)
     return _connection_probs(g, params, [(x, y)])[x, y]
 
 
 # ---------------------------------------------------------------------------
-# Potts side.  The exact route takes w = e^beta as a Fraction so that the
-# Boltzmann weight of a configuration is w^(weighted agreement count).
+# Potts side.  A configuration's coupling exponent sums J_e over its agreeing
+# edges; the exact route takes w = e^beta as a Fraction, weight w^exponent.
 
-def _potts_weight_exact(g: Multigraph, sigma, w: Fraction, couplings) -> Fraction:
-    weight = Fraction(1)
-    for i, (u, v) in enumerate(g.edges):
-        if sigma[u] == sigma[v]:
-            j = 1 if couplings is None else couplings[i]
-            weight *= w**j
-    return weight
+def _exponent(couplings):
+    """Map an agreement mask to its coupling exponent (default J_e = 1)."""
+    if couplings is None:
+        return int.bit_count
+    return lambda agree: sum(j for i, j in enumerate(couplings) if agree >> i & 1)
+
+
+def _exponent_counts(g: Multigraph, q: int, couplings, pairs, cap: int):
+    """Configurations counted per coupling exponent, in total and, for each
+    vertex pair in ``pairs``, among those with sigma_x = sigma_y."""
+    exponent = _exponent(couplings)
+    counts = Counter()
+    hits = {pair: Counter() for pair in pairs}
+    for s, agree in spin_configs(g, q, cap):
+        j = exponent(agree)
+        counts[j] += 1
+        for (x, y), hit in hits.items():
+            if s[x] == s[y]:
+                hit[j] += 1
+    return counts, hits
+
+
+def _weigh(counts, w: Fraction) -> Fraction:
+    return sum(c * w**j for j, c in counts.items())
 
 
 def potts_partition_exact(
     g: Multigraph, q: int, w: Fraction, couplings=None, cap: int = DEFAULT_SPIN_CAP
 ) -> Fraction:
     """Z_P with e^beta = w exact; integer couplings only (default all +1)."""
-    _check_spin_cap(g, q, cap)
-    return sum(
-        _potts_weight_exact(g, s, w, couplings) for s in _spin_configs(g.n, q)
-    )
+    return _weigh(_exponent_counts(g, q, couplings, (), cap)[0], Fraction(w))
 
 
 def potts_measure_table(
     g: Multigraph, q: int, w: Fraction, couplings=None, cap: int = DEFAULT_SPIN_CAP
 ) -> MeasureTable:
-    z = potts_partition_exact(g, q, w, couplings, cap)
-    return MeasureTable(
-        ("spin", g.n, q),
-        {
-            s: _potts_weight_exact(g, s, w, couplings) / z
-            for s in _spin_configs(g.n, q)
-        },
-    )
+    exponent = _exponent(couplings)
+    exponents = {s: exponent(agree) for s, agree in spin_configs(g, q, cap)}
+    counts, w = Counter(exponents.values()), Fraction(w)
+    z = _weigh(counts, w)
+    prob = {j: w**j / z for j in counts}
+    return MeasureTable(("spin", g.n, q), {s: prob[j] for s, j in exponents.items()})
 
 
-def _potts_weight_float(g: Multigraph, sigma, params: PottsParams) -> float:
-    h = 0.0
-    for i, (u, v) in enumerate(g.edges):
-        if sigma[u] == sigma[v]:
-            h -= 1.0 if params.couplings is None else params.couplings[i]
-    if params.fields is not None:
-        for x in range(g.n):
-            h -= params.fields[x][sigma[x]]
-    return math.exp(-params.beta * h)
+def _potts_float_sums(g: Multigraph, params: PottsParams, pairs, cap: int):
+    """``(top, z, hits)`` with Z_P = e^top z and e^top hits[pair] its part
+    where sigma_x = sigma_y; top is the largest energy, so no exp overflows."""
+    beta, fields = params.beta, params.fields
+    if fields is None:
+        counts, hits = _exponent_counts(g, params.q, params.couplings, pairs, cap)
+        terms = [(beta * j, c, [hit[j] for hit in hits.values()]) for j, c in counts.items()]
+    else:
+        exponent = _exponent(params.couplings)
+        terms = (
+            (beta * (exponent(agree) + sum(f[x] for f, x in zip(fields, s))), 1, [s[x] == s[y] for x, y in pairs])
+            for s, agree in spin_configs(g, params.q, cap)
+        )
+    top, z, acc = -math.inf, 0.0, [0.0] * len(pairs)
+    for e, c, h in terms:
+        if e > top:  # rescale what is summed so far to the new largest energy
+            scale, top = math.exp(top - e), e
+            z, acc = z * scale, [a * scale for a in acc]
+        f = math.exp(e - top)
+        z, acc = z + c * f, [a + k * f for a, k in zip(acc, h)]
+    return top, z, dict(zip(pairs, acc))
 
 
 def potts_partition(g: Multigraph, params: PottsParams, cap: int = DEFAULT_SPIN_CAP) -> float:
     """Z_P for real beta, general couplings and external fields (floats)."""
-    _check_spin_cap(g, params.q, cap)
-    return sum(_potts_weight_float(g, s, params) for s in _spin_configs(g.n, params.q))
+    top, z, _ = _potts_float_sums(g, params, (), cap)
+    return math.exp(top) * z
 
 
 def potts_two_point(g: Multigraph, params: PottsParams, x: int, y: int, cap: int = DEFAULT_SPIN_CAP) -> float:
     """tau(x,y) = pi(sigma_x = sigma_y) - 1/q, floating point."""
-    _check_spin_cap(g, params.q, cap)
-    z = 0.0
-    agree = 0.0
-    for s in _spin_configs(g.n, params.q):
-        w = _potts_weight_float(g, s, params)
-        z += w
-        if s[x] == s[y]:
-            agree += w
-    return agree / z - 1.0 / params.q
+    _check_vertices(g, x, y)
+    _, z, hits = _potts_float_sums(g, params, [(x, y)], cap)
+    return hits[x, y] / z - 1.0 / params.q
 
 
 def _potts_two_points_exact(g: Multigraph, q: int, w: Fraction, pairs, cap: int) -> dict:
-    """tau(x,y) for each vertex pair in ``pairs``, in one spin pass.
-
-    A configuration weighs w^(agreeing edges), so the pass only counts
-    configurations per agreement number, in total and per agreeing pair.
-    """
-    _check_spin_cap(g, q, cap)
-    counts = Counter()
-    hits = {pair: Counter() for pair in pairs}
-    for s in _spin_configs(g.n, q):
-        j = sum(s[u] == s[v] for u, v in g.edges)
-        counts[j] += 1
-        for (x, y), hit in hits.items():
-            if s[x] == s[y]:
-                hit[j] += 1
-    z = sum(c * w**j for j, c in counts.items())
-    return {
-        pair: sum(c * w**j for j, c in hit.items()) / z - Fraction(1, q)
-        for pair, hit in hits.items()
-    }
+    """tau(x,y) for each vertex pair in ``pairs``, in one spin pass."""
+    counts, hits = _exponent_counts(g, q, None, pairs, cap)
+    z = _weigh(counts, w)
+    return {pair: _weigh(hit, w) / z - Fraction(1, q) for pair, hit in hits.items()}
 
 
 def potts_two_point_exact(
     g: Multigraph, q: int, w: Fraction, x: int, y: int, cap: int = DEFAULT_SPIN_CAP
 ) -> Fraction:
     """tau(x,y) = pi(sigma_x = sigma_y) - 1/q with e^beta = w exact."""
+    _check_vertices(g, x, y)
     return _potts_two_points_exact(g, q, w, [(x, y)], cap)[x, y]
 
 
@@ -262,7 +250,7 @@ def verify_corr_conn(g: Multigraph, p: Fraction, q: int) -> dict:
     e^(-beta) = 1 - p so both sides are exact rationals."""
     w = 1 / (1 - Fraction(p))  # e^beta
     params = RCParams(Fraction(p), Fraction(q))
-    _check_bond_cap(g, 24)
+    _check_cap(g.m, DEFAULT_ENUM_CAP)
     pairs = list(product(range(g.n), repeat=2))
     tau = _potts_two_points_exact(g, q, w, pairs, DEFAULT_SPIN_CAP)
     phi = _connection_probs(g, params, pairs)
@@ -346,18 +334,9 @@ def ground_states(g: Multigraph, q: int, couplings) -> tuple[list, bool]:
     couplings = list(couplings)
     if len(couplings) != g.m:
         raise ValueError("need one coupling per edge")
-    states = []
-    for s in _spin_configs(g.n, q):
-        ok = True
-        for i, (u, v) in enumerate(g.edges):
-            if couplings[i] > 0 and s[u] != s[v]:
-                ok = False
-                break
-            if couplings[i] < 0 and s[u] == s[v]:
-                ok = False
-                break
-        if ok:
-            states.append(s)
+    pos = sum(1 << i for i, j in enumerate(couplings) if j > 0)
+    neg = sum(1 << i for i, j in enumerate(couplings) if j < 0)
+    states = [s for s, agree in spin_configs(g, q) if agree & (pos | neg) == pos]
     return states, not states
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from .graphs import (
+    EnumerationCapExceeded,
     Multigraph,
     canonical_key,
     component_count,
@@ -18,15 +19,12 @@ from .graphs import (
     delete,
     edge_subsets,
     rank_corank,
+    spin_configs,
     subset_size_components,
 )
 
 DEFAULT_ENUM_CAP = 24  # 2^24 subsets ~ 16M, the brute-force boundary
 DEFAULT_CACHE_SIZE = 1 << 20
-
-
-class EnumerationCapExceeded(RuntimeError):
-    pass
 
 
 def _check_cap(m: int, cap: int):
@@ -326,18 +324,7 @@ def flow_poly(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> BivariatePolynomial
 
 def count_proper_colourings(g: Multigraph, q: int) -> int:
     """Brute-force proper-colouring count; the oracle for chromatic_poly."""
-    if any(u == v for u, v in g.edges):
-        return 0
-    count = 0
-    for code in range(q**g.n):
-        col = []
-        c = code
-        for _ in range(g.n):
-            col.append(c % q)
-            c //= q
-        if all(col[u] != col[v] for u, v in g.edges):
-            count += 1
-    return count
+    return sum(not agree for _, agree in spin_configs(g, q))
 
 
 def count_spanning_trees(g: Multigraph) -> int:

@@ -54,6 +54,15 @@ def bfs_reachable(g: Multigraph, a: int, x: int) -> set[int]:
     return seen
 
 
+def agreement_oracle(g: Multigraph, sigma) -> int:
+    """Bitmask of the edges whose two endpoints carry equal spins."""
+    mask = 0
+    for i, (u, v) in enumerate(g.edges):
+        if sigma[u] == sigma[v]:
+            mask |= 1 << i
+    return mask
+
+
 def brute_force_flow_count(g: Multigraph, q: int) -> int:
     """Nowhere-zero mod-q flow count, fixed orientation u -> v."""
     if g.m == 0:

@@ -146,6 +146,27 @@ class TestErrors:
         assert run(["tutte", "--graph", triangle_file]) == 0
 
 
+# Bad inputs across the subcommands: each must end in exit code 1 and an
+# error line, never in an exception escaping run().
+BAD_INPUTS = {
+    "sample-sw-vertex": ["sample-sw", "--graph", "{tri}", "--p", "0.5", "--q", "2", "--sweeps", "10", "--x", "7"],
+    "potts-partition-q": ["potts-partition", "--graph", "{tri}", "--beta", "1", "--q", "1"],
+    "kn-n": ["kn", "--q", "2", "--lambda", "1", "--n", "abc"],
+    "kn-subset-cap": ["kn", "--q", "1.5", "--lambda", "1", "--n", "12"],
+    "verify-corrconn-p": ["verify", "corrconn", "--p", "1"],
+    "edges-not-pairs": ["tutte", "--graph", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_with_code(case, capsys, tmp_path, triangle_file):
+    bad = tmp_path / "not_pairs.json"
+    bad.write_text(json.dumps({"n": 3, "edges": [[0, 1, 2]]}))
+    argv = [a.format(tri=triangle_file, bad=bad) for a in BAD_INPUTS[case]]
+    assert run(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 class TestCsv:
     def test_csv_format(self, capsys, triangle_file):
         code = run(["flow-count", "--graph", triangle_file, "--q", "3", "--format", "csv"])

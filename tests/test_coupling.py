@@ -159,6 +159,12 @@ class TestSampler:
         se = q / (q - 1) * est["tau_se"] + est["conn_se"]
         assert abs(lhs - est["conn"]) < 3 * se + 1e-12
 
+    def test_two_point_vertex_range(self):
+        cfg = SamplerConfig(burn_in=0, samples=10)
+        for x in (7, -1):
+            with pytest.raises(ValueError, match="vertex out of range"):
+                estimate_two_point(triangle(), sw_sample(triangle(), 0.5, 2, cfg), x, 1, 2)
+
 
 class TestBatchMeans:
     def test_constant_sequence(self):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,10 @@ from rcpotts.coupling import make_rng
 from rcpotts.families import random_multigraph
 from rcpotts.graphs import (
     EdgeSubsetError,
+    EnumerationCapExceeded,
     Multigraph,
     canonical_key,
+    complete,
     component_count,
     contract,
     cycle,
@@ -18,9 +21,10 @@ from rcpotts.graphs import (
     is_even,
     path,
     rank_corank,
+    spin_configs,
     triangle,
 )
-from .conftest import bfs_component_count, bfs_reachable
+from .conftest import agreement_oracle, bfs_component_count, bfs_reachable
 
 
 @st.composite
@@ -79,6 +83,33 @@ class TestEdgeSubsets:
         g = Multigraph(300, ((0, 1), (0, 1), (2, 2)))
         _check_subset_kernel(g)
         assert [k for _, k, _ in edge_subsets(g)] == [300, 299, 299, 299, 300, 299, 299, 299]
+
+
+def _check_spin_kernel(g: Multigraph, q: int):
+    expected = [(s, agreement_oracle(g, s)) for s in product(range(q), repeat=g.n)]
+    assert list(spin_configs(g, q)) == expected
+
+
+class TestSpinConfigs:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 6), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+    def test_matches_agreement_oracle(self, n, m, q, seed):
+        g = random_multigraph(n, m, make_rng(seed), loops=True) if n else Multigraph(0)
+        _check_spin_kernel(g, q)
+
+    @pytest.mark.parametrize(("n", "m", "q"), [(7, 10, 3), (10, 14, 2), (6, 8, 4)])
+    def test_head_and_tail_split(self, n, m, q):
+        # above 256 configurations the kernel splits V into a head and a tail
+        for seed in range(5):
+            _check_spin_kernel(random_multigraph(n, m, make_rng(seed), loops=True), q)
+
+    def test_empty_graph_has_one_configuration(self):
+        assert list(spin_configs(Multigraph(0), 3)) == [((), 0)]
+
+    def test_cap(self):
+        with pytest.raises(EnumerationCapExceeded):
+            next(spin_configs(complete(16), 3))
+        assert len(list(spin_configs(triangle(), 3, cap=27))) == 27
 
 
 class TestRankCorank:

@@ -121,6 +121,24 @@ class TestPotts:
         with pytest.raises(EnumerationCapExceeded):
             verify_corr_conn(Multigraph(15, ()), F(1, 2), 3)
 
+    def test_two_point_survives_large_beta(self):
+        # tau is a ratio, so the largest energy is shifted out before exp
+        assert potts_two_point(triangle(), PottsParams(beta=1000, q=2), 0, 1) == 0.5
+        with pytest.raises(OverflowError):
+            potts_partition(triangle(), PottsParams(beta=1000, q=2))
+
+    def test_two_point_vertex_range(self):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            potts_two_point(triangle(), PottsParams(beta=1.0, q=2), 0, 3)
+        with pytest.raises(ValueError, match="vertex out of range"):
+            potts_two_point(triangle(), PottsParams(beta=1.0, q=2), -1, 0)
+
+    def test_two_point_exact_vertex_range(self):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            potts_two_point_exact(triangle(), 2, F(2), 0, 7)
+        with pytest.raises(ValueError, match="vertex out of range"):
+            potts_two_point_exact(triangle(), 2, F(2), -1, 0)
+
     def test_two_point_beta_zero(self):
         assert potts_two_point(EDGE, PottsParams(beta=0.0, q=2), 0, 1) == pytest.approx(0.0)
 
@@ -202,6 +220,11 @@ class TestGroundStates:
         g = Multigraph(4, ((0, 1), (2, 3)))
         states, frustrated = ground_states(g, 3, [1, 1])
         assert not frustrated and len(states) == 9
+
+    def test_honours_spin_cap(self):
+        g = complete(16)  # 3^16 spin states, above the default cap
+        with pytest.raises(EnumerationCapExceeded):
+            ground_states(g, 3, [1] * g.m)
 
 
 class TestZeroTemperature:

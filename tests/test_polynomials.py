@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rcpotts.families import connected_multigraphs_upto, graphs_with_few_edges
-from rcpotts.graphs import Multigraph, cycle, path, triangle
+from rcpotts.graphs import Multigraph, complete, cycle, path, triangle
 from rcpotts.polynomials import (
     BivariatePolynomial,
     EnumerationCapExceeded,
@@ -125,6 +125,10 @@ class TestChromatic:
             chi = chromatic_poly(g, cache)
             for q in range(1, 6):
                 assert eval_poly(chi, F(q), F(0)) == count_proper_colourings(g, q)
+
+    def test_colouring_count_honours_spin_cap(self):
+        with pytest.raises(EnumerationCapExceeded):
+            count_proper_colourings(complete(16), 3)  # 3^16 spin states
 
 
 class TestFlowPoly:
