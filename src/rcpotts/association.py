@@ -4,20 +4,31 @@ limit measures (uniform spanning tree / forest / connected subgraph).
 
 Events over the bond space {0,1}^E are encoded as bitmasks over the 2^|E|
 configurations (configuration ``a`` is in event ``A`` iff bit ``a`` of the
-event mask is set).  All probabilities are exact rationals, so a reported
-inequality violation is a genuine witness, never float noise.
+event mask is set).  A measure is read as integer weights over the least
+common denominator d of its probabilities, and P(A and B) <= P(A) P(B) is
+tested in integers as d W(A and B) <= W(A) W(B), so every check is exact
+and a reported violation is a genuine witness, never float noise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import combinations
+from math import lcm
+from operator import and_, or_
 
 from .graphs import Multigraph, edge_subsets, is_connected
 from .measures import MeasureTable, RCParams, rc_measure_table
 from .coupling import make_rng
+from .polynomials import DEFAULT_ENUM_CAP, _check_cap
 
 UPSET_EDGE_CAP = 5  # Dedekind numbers blow up past the 5-cube (7581 up-sets)
+
+
+def _check_event_cap(m: int):
+    if not 0 <= m <= UPSET_EDGE_CAP:
+        raise ValueError(f"event algebra supported for 0 <= m <= {UPSET_EDGE_CAP} edges")
 
 
 def enumerate_increasing_events(m: int) -> list[int]:
@@ -26,8 +37,7 @@ def enumerate_increasing_events(m: int) -> list[int]:
     Splitting on the last coordinate, an up-set of the m-cube is a pair of
     up-sets (A0, A1) of the (m-1)-cube with A0 a subset of A1.
     """
-    if m < 0 or m > UPSET_EDGE_CAP:
-        raise ValueError(f"up-set enumeration supported for 0 <= m <= {UPSET_EDGE_CAP}")
+    _check_event_cap(m)
     events = [0, 1]  # the 0-cube: empty event and full space
     for k in range(1, m + 1):
         half = 1 << (k - 1)
@@ -40,23 +50,28 @@ def enumerate_increasing_events(m: int) -> list[int]:
     return events
 
 
-def measure_vector(table: MeasureTable) -> list[Fraction]:
-    """Bond-space MeasureTable as a dense vector indexed by configuration."""
-    kind, m = table.space[0], table.space[1]
-    if kind != "bond":
+def _weights(table: MeasureTable) -> tuple[list[int], int]:
+    """The measure as integer weights w over a common denominator d: the
+    probability of configuration a is w[a] / d."""
+    if table.space[0] != "bond":
         raise ValueError("expected a bond-space measure")
-    return [table.probs.get(a, Fraction(0)) for a in range(1 << m)]
+    d = lcm(*(x.denominator for x in table.probs.values()))
+    w = [0] * (1 << table.space[1])
+    for a, x in table.probs.items():
+        w[a] = x.numerator * d // x.denominator
+    return w, d
 
 
-def event_prob(mu: list[Fraction], event: int) -> Fraction:
-    total = Fraction(0)
-    a = 0
-    while event:
-        if event & 1:
-            total += mu[a]
-        event >>= 1
-        a += 1
-    return total
+def _mass(w: list[int]):
+    """Event mask -> summed weight of its configurations, read eight
+    configurations at a time from subset-sum tables."""
+    tables = []
+    for j in range(0, len(w), 8):
+        sums = [0]
+        for x in w[j:j + 8]:
+            sums += [s + x for s in sums]
+        tables.append(sums)
+    return lambda event: sum(sums[event >> 8 * j & 255] for j, sums in enumerate(tables))
 
 
 def stochastic_dominance(mu1: MeasureTable, mu2: MeasureTable):
@@ -67,9 +82,10 @@ def stochastic_dominance(mu1: MeasureTable, mu2: MeasureTable):
     if mu1.space != mu2.space:
         raise ValueError("measures live on different spaces")
     m = mu1.space[1]
-    v1, v2 = measure_vector(mu1), measure_vector(mu2)
+    (w1, d1), (w2, d2) = _weights(mu1), _weights(mu2)
+    mass1, mass2 = _mass(w1), _mass(w2)
     for event in enumerate_increasing_events(m):
-        if event_prob(v1, event) > event_prob(v2, event):
+        if mass1(event) * d2 > mass2(event) * d1:
             return False, event
     return True, None
 
@@ -106,25 +122,26 @@ def fkg_check(g: Multigraph, p, q, n_function_pairs: int = 100, seed: int = 0) -
     find is reported as a witness.
     """
     p, q = Fraction(p), Fraction(q)
-    mu = measure_vector(rc_measure_table(g, RCParams(p, q)))
+    w, d = _weights(rc_measure_table(g, RCParams(p, q)))
     events = enumerate_increasing_events(g.m)
-    probs = {a: event_prob(mu, a) for a in events}
+    weight = dict(zip(events, map(_mass(w), events)))  # closed under A and B
     violations = []
     for i, a in enumerate(events):
-        pa = probs[a]
+        wa = weight[a]
         for b in events[i:]:
-            if probs[a & b] < pa * probs[b]:
+            if d * weight[a & b] < wa * weight[b]:
                 violations.append({"A": a, "B": b})
-    # random increasing functions: positive combinations of up-set indicators
+    # random increasing functions f = sum c 1_A: E f = sum c W(A) / d and
+    # E fh = sum c c' W(A and B) / d, so the weights above serve every pair
     rng = make_rng(seed)
     func_viol = 0
     for _ in range(n_function_pairs):
         f = _random_increasing_function(events, rng)
         h = _random_increasing_function(events, rng)
-        e_f = sum(f[a] * mu[a] for a in range(len(mu)))
-        e_h = sum(h[a] * mu[a] for a in range(len(mu)))
-        e_fh = sum(f[a] * h[a] * mu[a] for a in range(len(mu)))
-        if e_fh < e_f * e_h:
+        e_f = sum(c * weight[a] for a, c in f)
+        e_h = sum(c * weight[b] for b, c in h)
+        e_fh = sum(c * k * weight[a & b] for a, c in f for b, k in h)
+        if d * e_fh < e_f * e_h:
             func_viol += 1
     return {
         "identity": "fkg",
@@ -136,64 +153,76 @@ def fkg_check(g: Multigraph, p, q, n_function_pairs: int = 100, seed: int = 0) -
     }
 
 
-def _random_increasing_function(events: list[int], rng) -> list[Fraction]:
+def _random_increasing_function(events: list[int], rng) -> list[tuple[int, Fraction]]:
     """A random monotone function as a positive combination of up-set
-    indicators, tabulated per configuration."""
-    n_terms = int(rng.integers(1, 4))
-    m_cfgs = max(events).bit_length()
-    values = [Fraction(0)] * m_cfgs
-    for _ in range(n_terms):
-        a = events[int(rng.integers(0, len(events)))]
-        c = Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
-        for cfg in range(m_cfgs):
-            if a >> cfg & 1:
-                values[cfg] += c
-    return values
+    indicators, given as its (up-set, coefficient) terms."""
+    return [
+        (events[int(rng.integers(0, len(events)))],
+         Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10))))
+        for _ in range(int(rng.integers(1, 4)))
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Disjoint occurrence and negative association.
 
-def _cylinder_inside(event: int, omega: int, fixed: int, m: int) -> bool:
-    """Does the cylinder {omega' : omega' = omega on fixed} sit inside event?"""
-    free = [i for i in range(m) if not fixed >> i & 1]
-    base = omega & fixed
-    for t in range(1 << len(free)):
-        cfg = base
-        for pos, i in enumerate(free):
-            if t >> pos & 1:
-                cfg |= 1 << i
-        if not event >> cfg & 1:
-            return False
-    return True
+# _LOW[m][i]: the configurations of the m-cube with coordinate i closed
+_LOW = [[sum(1 << c for c in range(1 << m) if not c >> i & 1) for i in range(m)]
+        for m in range(UPSET_EDGE_CAP + 1)]
+
+
+def _inside_table(event: int, m: int) -> list[int]:
+    """ins[K]: the configurations omega whose cylinder {omega' = omega on the
+    edge set K} lies inside the event.  Freeing an edge i of K splits the
+    cylinder in two, so ins[K - i] = ins[K] & (ins[K] with bit i flipped)."""
+    n = 1 << m
+    ins = [0] * (n - 1) + [event & ((1 << n) - 1)]
+    for k in range(n - 2, -1, -1):
+        i = (~k & (n - 1)).bit_length() - 1  # an edge outside K
+        up, low, shift = ins[k | 1 << i], _LOW[m][i], 1 << i
+        ins[k] = up & ((up & low) << shift | (up >> shift) & low)
+    return ins
+
+
+def _box(ins_a: list[int], ins_b: list[int]) -> int:
+    """A box B: the union over K of ins_A[K] and ins_B[complement of K]."""
+    return reduce(or_, map(and_, ins_a, reversed(ins_b)))
 
 
 def box_product(a: int, b: int, m: int) -> int:
     """The disjoint-occurrence event A box B: configurations admitting
     disjoint certificate edge sets for A and for B."""
-    full = (1 << m) - 1
-    out = 0
-    for omega in range(1 << m):
-        for fixed in range(1 << m):
-            if _cylinder_inside(a, omega, fixed, m) and _cylinder_inside(
-                b, omega, full & ~fixed, m
-            ):
-                out |= 1 << omega
-                break
-    return out
+    _check_event_cap(m)
+    return _box(_inside_table(a, m), _inside_table(b, m))
 
 
-def _event_defined_on(event_sub: int, coords: tuple, m: int) -> int:
-    """Lift an event over the subcube on ``coords`` to the full cube."""
-    out = 0
-    for cfg in range(1 << m):
-        sub = 0
-        for pos, i in enumerate(coords):
-            if cfg >> i & 1:
-                sub |= 1 << pos
-        if event_sub >> sub & 1:
-            out |= 1 << cfg
-    return out
+def _na_witness(w: list[int], d: int, m: int):
+    """The first up-set pair, A on edges F and B on the rest R, over splits
+    and up-sets in order, with d W(A and B) > W(A) W(B), lifted to the full
+    cube; None if there is none.  Each split sorts the weights into one
+    column over the F-subcube per R-configuration, so the column masses of
+    A are the weights over R where A holds."""
+    cube = range(1 << m)
+    for r in range(m + 1):
+        for coords in combinations(range(m), r):
+            rest = tuple(i for i in range(m) if i not in coords)
+            ups_r = enumerate_increasing_events(len(rest))
+            # each configuration's index in the F- and in the R-subcube
+            proj_f, proj_r = ([sum((c >> i & 1) << j for j, i in enumerate(on)) for c in cube]
+                              for on in (coords, rest))
+            cols = [[0] * (1 << r) for _ in range(1 << len(rest))]
+            for c in cube:
+                cols[proj_r[c]][proj_f[c]] += w[c]
+            col_mass = [_mass(col) for col in cols]
+            weight_r = list(map(_mass([sum(col) for col in cols]), ups_r))
+            for a in enumerate_increasing_events(r):
+                on_a = [mass(a) for mass in col_mass]
+                wa, mass_a = sum(on_a), _mass(on_a)
+                for b, wb in zip(ups_r, weight_r):
+                    if d * mass_a(b) > wa * wb:
+                        return tuple(sum(1 << c for c in cube if e >> proj[c] & 1)
+                                     for e, proj in ((a, proj_f), (b, proj_r)))
+    return None
 
 
 def negative_association_checks(
@@ -211,48 +240,23 @@ def negative_association_checks(
     asserted only on exhaustive results).
     """
     m = table.space[1]
-    mu = measure_vector(table)
+    w, d = _weights(table)
 
     # (a) edge negative association
     edge = negative_association_checks_edge_only(table)
     edge_na, edge_witness = edge["edge_na"], edge["witness"]
 
     # (b) negative association: increasing A on F, increasing B on complement
-    na = True
-    na_witness = None
-    for r in range(m + 1):
-        for coords in combinations(range(m), r):
-            rest = tuple(i for i in range(m) if i not in coords)
-            ups_f = enumerate_increasing_events(len(coords))
-            ups_r = enumerate_increasing_events(len(rest))
-            lifted_f = [_event_defined_on(a, coords, m) for a in ups_f]
-            lifted_r = [_event_defined_on(b, rest, m) for b in ups_r]
-            for a in lifted_f:
-                pa = event_prob(mu, a)
-                for b in lifted_r:
-                    if event_prob(mu, a & b) > pa * event_prob(mu, b):
-                        na, na_witness = False, (a, b)
-                        break
-                if not na:
-                    break
-            if not na:
-                break
-        if not na:
-            break
+    na_witness = _na_witness(w, d, m)
+    na = na_witness is None
 
     # (c) disjoint occurrence property
     n_events = 1 << (1 << m)
-    doc = True
-    doc_witness = None
     doc_exhaustive = include_doc and m <= 3
-    n_pairs = 0
     if not include_doc:
-        doc = None
-        pairs = ()
+        pairs, n_pairs = (), 0
     elif doc_exhaustive:
-        pairs = (
-            (a, b) for a in range(n_events) for b in range(a, n_events)
-        )
+        pairs = ((a, b) for a in range(n_events) for b in range(a, n_events))
         n_pairs = n_events * (n_events + 1) // 2
     else:
         rng = make_rng(seed)
@@ -261,16 +265,18 @@ def negative_association_checks(
             for _ in range(doc_pair_budget)
         )
         n_pairs = doc_pair_budget
+    mass = _mass(w)
+    algebra = lru_cache(maxsize=None)(lambda e: (_inside_table(e, m), mass(e)))
+    doc_witness = None
     for a, b in pairs:
-        ab = box_product(a, b, m)
-        if event_prob(mu, ab) > event_prob(mu, a) * event_prob(mu, b):
-            doc, doc_witness = False, (a, b)
+        (ins_a, wa), (ins_b, wb) = algebra(a), algebra(b)
+        if d * mass(_box(ins_a, ins_b)) > wa * wb:
+            doc_witness = (a, b)
             break
+    doc = doc_witness is None if include_doc else None
 
-    if doc_exhaustive:
-        chain_ok = (not doc or na) and (not na or edge_na)
-    else:
-        chain_ok = not na or edge_na
+    # (c) => (b) is asserted only where the DOC scan was exhaustive
+    chain_ok = (not na or edge_na) and (not doc_exhaustive or not doc or na)
 
     return {
         "identity": "negative-association",
@@ -305,17 +311,17 @@ def uniform_substructure_measure(g: Multigraph, kind: str) -> MeasureTable:
         ok = lambda size, k: k == 1
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    _check_cap(g.m, DEFAULT_ENUM_CAP)
     support = [a for a, k, _ in edge_subsets(g) if ok(a.bit_count(), k)]
     w = Fraction(1, len(support))
     return MeasureTable(("bond", g.m), {a: w for a in support})
 
 
 def total_variation(mu1: MeasureTable, mu2: MeasureTable) -> Fraction:
-    keys = set(mu1.probs) | set(mu2.probs)
-    return sum(
-        abs(mu1.probs.get(k, Fraction(0)) - mu2.probs.get(k, Fraction(0)))
-        for k in keys
-    ) / 2
+    if mu1.space != mu2.space:
+        raise ValueError("measures live on different spaces")
+    (w1, d1), (w2, d2) = _weights(mu1), _weights(mu2)
+    return Fraction(sum(abs(x * d2 - y * d1) for x, y in zip(w1, w2)), 2 * d1 * d2)
 
 
 REGIME_TARGET = {
@@ -400,12 +406,11 @@ def ust_feder_mihail_check(g: Multigraph) -> dict:
 
 def negative_association_checks_edge_only(table: MeasureTable) -> dict:
     m = table.space[1]
-    mu = measure_vector(table)
+    w, d = _weights(table)
+    support = [(a, x) for a, x in enumerate(w) if x]
+    weight = lambda edges: sum(x for a, x in support if a & edges == edges)
     for e, f in combinations(range(m), 2):
-        je = sum(mu[a] for a in range(1 << m) if a >> e & 1)
-        jf = sum(mu[a] for a in range(1 << m) if a >> f & 1)
-        jef = sum(mu[a] for a in range(1 << m) if a >> e & 1 and a >> f & 1)
-        if jef > je * jf:
+        if d * weight(1 << e | 1 << f) > weight(1 << e) * weight(1 << f):
             return {"edge_na": False, "witness": (e, f)}
     return {"edge_na": True, "witness": None}
 
@@ -425,27 +430,14 @@ def conjecture_forest_scan(graphs, full_na_cap: int = UPSET_EDGE_CAP) -> dict:
             if kind == "connected-subgraph" and not is_connected(g):
                 continue
             table = uniform_substructure_measure(g, kind)
-            edge = negative_association_checks_edge_only(table)
-            if not edge["edge_na"]:
-                witnesses.append(
-                    {
-                        "kind": kind,
-                        "check": "edge-na",
-                        "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
-                        "witness": edge["witness"],
-                    }
-                )
+            found = {"edge-na": negative_association_checks_edge_only(table)["witness"]}
             if g.m <= full_na_cap:
                 rep = negative_association_checks(table, include_doc=False)
-                if not rep["na"]:
-                    witnesses.append(
-                        {
-                            "kind": kind,
-                            "check": "na",
-                            "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
-                            "witness": rep["witnesses"]["na"],
-                        }
-                    )
+                found["na"] = rep["witnesses"]["na"]
+            for check, witness in found.items():
+                if witness is not None:
+                    graph = {"n": g.n, "edges": [list(e) for e in g.edges]}
+                    witnesses.append({"kind": kind, "check": check, "graph": graph, "witness": witness})
     return {
         "identity": "forest-ucs-conjecture-scan",
         "graphs_scanned": scanned,

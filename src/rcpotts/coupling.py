@@ -178,11 +178,15 @@ def kernel_step_distribution(g: Multigraph, table: MeasureTable, p: Fraction, q:
     """
     p = Fraction(p)
     agree = dict(spin_configs(g, q))
-    out: dict = {}
+    # both kernels read only the spins, so merge the table over bond sets first
+    by_spins: dict = {}
     for cfg, prob in table.probs.items():
+        by_spins[cfg.spins] = by_spins.get(cfg.spins, Fraction(0)) + prob
+    out: dict = {}
+    for spins, prob in by_spins.items():
         # bonds given spins: each agreeing edge open with probability p
-        n_agree = agree[cfg.spins].bit_count()
-        for bonds in _subsets(agree[cfg.spins]):
+        n_agree = agree[spins].bit_count()
+        for bonds in _subsets(agree[spins]):
             w_b = p ** bonds.bit_count() * (1 - p) ** (n_agree - bonds.bit_count())
             # spins given bonds: uniform per cluster
             labels = open_clusters(g, bonds)

@@ -329,4 +329,5 @@ def count_proper_colourings(g: Multigraph, q: int) -> int:
 
 def count_spanning_trees(g: Multigraph) -> int:
     """Spanning-tree count by subset enumeration (independent of T(1,1))."""
+    _check_cap(g.m, DEFAULT_ENUM_CAP)
     return subset_size_components(g)[(g.n - 1, 1)]

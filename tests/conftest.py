@@ -63,6 +63,29 @@ def agreement_oracle(g: Multigraph, sigma) -> int:
     return mask
 
 
+def box_product_oracle(a: int, b: int, m: int) -> int:
+    """Disjoint occurrence from its definition: omega is in A box B iff some
+    edge set K fixes a cylinder through omega inside A while the complement
+    of K fixes one inside B."""
+
+    def cylinder_inside(event: int, omega: int, fixed: int) -> bool:
+        return all(
+            event >> cfg & 1
+            for cfg in range(1 << m)
+            if cfg & fixed == omega & fixed
+        )
+
+    full = (1 << m) - 1
+    out = 0
+    for omega in range(1 << m):
+        if any(
+            cylinder_inside(a, omega, k) and cylinder_inside(b, omega, full ^ k)
+            for k in range(1 << m)
+        ):
+            out |= 1 << omega
+    return out
+
+
 def brute_force_flow_count(g: Multigraph, q: int) -> int:
     """Nowhere-zero mod-q flow count, fixed orientation u -> v."""
     if g.m == 0:

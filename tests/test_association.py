@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,7 @@ from rcpotts.association import (
     comparison_check,
     conjecture_forest_scan,
     enumerate_increasing_events,
-    event_prob,
     fkg_check,
-    measure_vector,
     negative_association_checks,
     negative_association_checks_edge_only,
     q_to_zero_limit_check,
@@ -20,9 +19,11 @@ from rcpotts.association import (
     ust_feder_mihail_check,
 )
 from rcpotts.families import simple_graphs
-from rcpotts.graphs import Multigraph, cycle, path, triangle
+from rcpotts.graphs import EnumerationCapExceeded, Multigraph, complete, cycle, path, triangle
 from rcpotts.measures import MeasureTable, RCParams, rc_measure_table
 from rcpotts.polynomials import count_spanning_trees
+
+from .conftest import box_product_oracle
 
 F = Fraction
 
@@ -61,7 +62,7 @@ class TestDominance:
         lo = rc_measure_table(g, RCParams(F(1, 4), F(1)))
         hi = rc_measure_table(g, RCParams(F(3, 4), F(1)))
         holds, witness = stochastic_dominance(hi, lo)
-        assert not holds and witness is not None
+        assert (holds, witness) == (False, 0b10)  # the up-set {edge 0 open}
 
     def test_comparison_inequalities_sweep(self):
         for g in [triangle(), path(3), cycle(4)]:
@@ -87,6 +88,25 @@ class TestFkg:
     def test_violation_found_below_one(self):
         rep = fkg_check(triangle(), F(1, 2), F(1, 4), n_function_pairs=0)
         assert not rep["pass"] and rep["event_violations"]
+
+    @pytest.mark.parametrize("seed, function_violations", [(0, 2), (1, 5), (3, 6)])
+    def test_random_functions_golden(self, seed, function_violations):
+        # pins the seeded draw of random increasing functions and their
+        # exact expectations below q = 1, where some pairs violate FKG
+        rep = fkg_check(triangle(), F(1, 2), F(1, 4), n_function_pairs=50, seed=seed)
+        assert rep == {
+            "identity": "fkg",
+            "params": ["1/2", "1/4"],
+            "instances": 20 * 21 // 2 + 50,
+            "event_violations": [
+                {"A": 136, "B": 224}, {"A": 136, "B": 240}, {"A": 160, "B": 200},
+                {"A": 160, "B": 204}, {"A": 168, "B": 192}, {"A": 168, "B": 204},
+                {"A": 168, "B": 240}, {"A": 170, "B": 192}, {"A": 170, "B": 200},
+                {"A": 170, "B": 204},
+            ],
+            "function_violations": function_violations,
+            "pass": False,
+        }
 
 
 class TestBoxProduct:
@@ -117,6 +137,35 @@ class TestBoxProduct:
         a = sum(1 << w for w in range(4) if w >> 0 & 1)
         assert box_product(a, full, m) == a
 
+    @pytest.mark.parametrize("m", range(3))
+    def test_all_pairs_match_oracle(self, m):
+        n_events = 1 << (1 << m)
+        for a in range(n_events):
+            for b in range(n_events):
+                assert box_product(a, b, m) == box_product_oracle(a, b, m)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_seeded_pairs_match_oracle(self, m):
+        rng = random.Random(m)
+        ups = enumerate_increasing_events(m)
+        n_bits = 1 << m
+
+        def draw(kind):
+            if kind == 0:
+                return rng.choice(ups)
+            if kind == 1:
+                return rng.getrandbits(n_bits)
+            # dense masks, so that box products are rarely empty
+            return rng.getrandbits(n_bits) | rng.getrandbits(n_bits) | rng.getrandbits(n_bits)
+
+        for _ in range(40):
+            a, b = draw(rng.randrange(3)), draw(rng.randrange(3))
+            assert box_product(a, b, m) == box_product_oracle(a, b, m)
+
+    def test_cap_enforced(self):
+        with pytest.raises(ValueError):
+            box_product(0, 0, 6)
+
 
 class TestNegativeAssociation:
     def test_product_measure_has_doc(self):
@@ -134,6 +183,27 @@ class TestNegativeAssociation:
         # three negative notions fail, but the implication chain must hold
         assert not rep["edge_na"] and not rep["na"]
         assert rep["implication_chain_ok"] and rep["pass"]
+
+    @pytest.mark.parametrize(
+        "q, edge_na, na, witnesses",
+        [
+            (F(2), False, False, {"edge_na": (0, 1), "na": (170, 192), "disjoint_occurrence": (3, 85)}),
+            (F(1, 2), True, True, {"edge_na": None, "na": None, "disjoint_occurrence": (3, 170)}),
+        ],
+    )
+    def test_golden_report_triangle(self, q, edge_na, na, witnesses):
+        rep = negative_association_checks(rc_measure_table(triangle(), RCParams(F(1, 2), q)))
+        assert rep == {
+            "identity": "negative-association",
+            "edge_na": edge_na,
+            "na": na,
+            "disjoint_occurrence": False,
+            "doc_exhaustive": True,
+            "doc_pairs_checked": 256 * 257 // 2,
+            "witnesses": witnesses,
+            "implication_chain_ok": True,
+            "pass": True,
+        }
 
     def test_include_doc_false_skips(self):
         mu = rc_measure_table(triangle(), RCParams(F(1, 2), F(2)))
@@ -164,6 +234,10 @@ class TestLimitMeasures:
     def test_disconnected_rejected_for_ust(self):
         with pytest.raises(ValueError):
             uniform_substructure_measure(Multigraph(3, ((0, 1),)), "spanning-tree")
+
+    def test_cap_enforced(self):
+        with pytest.raises(EnumerationCapExceeded):
+            uniform_substructure_measure(complete(8), "spanning-tree")  # 2^28 subsets
 
     def test_total_variation_bounds(self):
         a = uniform_substructure_measure(triangle(), "spanning-tree")
@@ -206,6 +280,26 @@ class TestFederMihail:
         for g in [triangle(), cycle(4), path(4)]:
             rep = ust_feder_mihail_check(g)
             assert rep["pass"] and rep["mode"] == "full-na"
+
+    def test_golden_report_five_edges(self):
+        g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2)))
+        assert ust_feder_mihail_check(g) == {
+            "identity": "ust-feder-mihail",
+            "mode": "full-na",
+            "detail": {
+                "identity": "negative-association",
+                "edge_na": True,
+                "na": True,
+                "disjoint_occurrence": None,
+                "doc_exhaustive": False,
+                "doc_pairs_checked": 0,
+                "witnesses": {"edge_na": None, "na": None, "disjoint_occurrence": None},
+                "implication_chain_ok": True,
+                "pass": True,
+            },
+            "instances": 1,
+            "pass": True,
+        }
 
     def test_larger_graph_edge_na(self):
         g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)))

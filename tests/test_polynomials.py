@@ -87,6 +87,10 @@ class TestTutte:
         assert tutte_poly(g, cache) is t
         assert cache.misses == misses and cache.hits >= 1
 
+    def test_spanning_tree_count_honours_subset_cap(self):
+        with pytest.raises(EnumerationCapExceeded):
+            count_spanning_trees(complete(8))  # 2^28 subsets
+
 
 class TestMultivariateTutte:
     def test_single_edge(self):
