@@ -203,8 +203,11 @@ def _verify_suite(args) -> dict:
                 r = verify_corr_conn(g, _frac(args.p) if suite != "all" else Fraction(1, 2), q)
                 reports.append(r)
     if suite in ("partition", "all"):
+        q = _frac(args.q)
+        if q.denominator != 1:
+            raise UsageError(f"the partition suite needs an integer q, not {args.q!r}")
         for g in (graphs_for(4) if suite != "all" else simple_graphs(4, connected=True)):
-            reports.append(verify_partition_identity(g, _frac(args.p), int(_frac(args.q))))
+            reports.append(verify_partition_identity(g, _frac(args.p), int(q)))
     if suite in ("tutte-rcm", "all"):
         cache = _tutte_cache()
         for g in simple_graphs(4, connected=True):

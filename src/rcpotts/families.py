@@ -1,14 +1,16 @@
 """Finite graph families used by the verification sweeps.
 
 Simple graphs come from the networkx atlas (one representative per
-isomorphism class, up to 7 vertices).  Multigraph families are generated as
-edge multisets over endpoint-pair types, deduplicated by keeping only the
-lexicographically least representative under vertex permutations.
+isomorphism class, up to 7 vertices).  Multigraph families are edge
+multisets over endpoint-pair types, generated orderly (Read; Faradzev): one
+edge at a time, extending only canonical multisets, so each
+vertex-permutation class appears exactly once, as its lexicographically least
+member.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+from itertools import islice, permutations
 
 from .graphs import Multigraph, is_connected
 
@@ -30,77 +32,62 @@ def _from_nx(g) -> Multigraph:
     return Multigraph(len(nodes), tuple((idx[u], idx[v]) for u, v in g.edges()))
 
 
+def _filter_connected(graphs, connected: bool | None) -> list[Multigraph]:
+    return [g for g in graphs if connected is None or is_connected(g) == connected]
+
+
 def simple_graphs(max_nodes: int, max_edges: int | None = None, connected: bool | None = None):
     """Simple graphs up to isomorphism from the atlas (max_nodes <= 7)."""
     if max_nodes > 7:
         raise ValueError("atlas covers at most 7 vertices")
-    out = []
-    for g in _atlas():
-        if g.number_of_nodes() == 0 or g.number_of_nodes() > max_nodes:
-            continue
-        if max_edges is not None and g.number_of_edges() > max_edges:
-            continue
-        mg = _from_nx(g)
-        if connected is not None and is_connected(mg) != connected:
-            continue
-        out.append(mg)
-    return out
+    return _filter_connected((
+        _from_nx(g) for g in _atlas()
+        if 0 < g.number_of_nodes() <= max_nodes and (max_edges is None or g.number_of_edges() <= max_edges)
+    ), connected)
 
 
 def graphs_with_few_edges(max_edges: int, connected: bool | None = None):
     """Simple graphs (up to iso) with at most ``max_edges`` edges; a graph
     with m edges touches at most 2m vertices, and the atlas suffices for
     m <= 6 when isolated vertices are dropped."""
-    out = []
-    for g in _atlas():
-        if g.number_of_nodes() == 0 or g.number_of_edges() > max_edges:
-            continue
-        if any(d == 0 for _, d in g.degree()) and g.number_of_nodes() > 1:
-            continue  # skip isolated-vertex padding; same graph appears smaller
-        mg = _from_nx(g)
-        if connected is not None and is_connected(mg) != connected:
-            continue
-        out.append(mg)
-    return out
+    return _filter_connected((
+        _from_nx(g) for g in _atlas()
+        if g.number_of_nodes() and g.number_of_edges() <= max_edges
+        # skip isolated-vertex padding; the same graph appears smaller
+        and (g.number_of_nodes() == 1 or all(d for _, d in g.degree()))
+    ), connected)
 
 
 def _pair_types(n: int, loops: bool) -> list[tuple[int, int]]:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if loops:
-        pairs += [(i, i) for i in range(n)]
-    return sorted(pairs)
+    return [(i, j) for i in range(n) for j in range(i if loops else i + 1, n)]  # in sorted order
 
 
-def _is_canonical(n: int, edges: tuple) -> bool:
-    ref = tuple(sorted(edges))
-    for perm in permutations(range(n)):
-        mapped = tuple(
-            sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)
-        )
-        if mapped < ref:
-            return False
-    return True
-
-
-def multigraphs(
-    n_vertices: int,
-    max_edges: int,
-    min_edges: int = 1,
-    loops: bool = True,
-    connected: bool | None = None,
-):
+def multigraphs(n_vertices: int, max_edges: int, min_edges: int = 1, loops: bool = True,
+                connected: bool | None = None):
     """Multigraphs on exactly ``n_vertices`` with ``min_edges..max_edges``
-    edges, one representative per vertex-permutation class."""
+    edges, one per vertex-permutation class: the one whose sorted tuple of
+    pair-type indices is lexicographically least.  Level k holds these tuples
+    in order; each is extended only by indices at or above its last, as a
+    prefix of a canonical tuple is canonical."""
     pairs = _pair_types(n_vertices, loops)
-    out = []
-    for k in range(min_edges, max_edges + 1):
-        for combo in combinations_with_replacement(pairs, k):
-            if not _is_canonical(n_vertices, combo):
-                continue
-            g = Multigraph(n_vertices, combo)
-            if connected is not None and is_connected(g) != connected:
-                continue
-            out.append(g)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    images = [  # the image of every pair index under each non-identity permutation
+        [index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in pairs]
+        for perm in islice(permutations(range(n_vertices)), 1, None)
+    ]
+
+    def canonical(c):
+        least = list(c)
+        return all(sorted(map(pm.__getitem__, c)) >= least for pm in images)
+
+    out, level = [], [()]
+    for k in range(max_edges + 1):
+        if k >= min_edges:
+            out += _filter_connected((Multigraph(n_vertices, tuple(pairs[i] for i in c)) for c in level), connected)
+        level = [
+            c for parent in level for j in range(parent[-1] if parent else 0, len(pairs))
+            if canonical(c := parent + (j,))
+        ] if k < max_edges else []
     return out
 
 
@@ -109,8 +96,7 @@ def connected_multigraphs_upto(max_vertices: int, max_edges: int, loops: bool = 
     ``max_edges`` edges, one per permutation class per vertex count."""
     out = [Multigraph(1, ())]
     for n in range(1, max_vertices + 1):
-        min_e = max(n - 1, 1)
-        out.extend(multigraphs(n, max_edges, min_edges=min_e, loops=loops, connected=True))
+        out.extend(multigraphs(n, max_edges, min_edges=max(n - 1, 1), loops=loops, connected=True))
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -100,6 +100,26 @@ def brute_force_flow_count(g: Multigraph, q: int) -> int:
         if all(x % q == 0 for x in net):
             count += 1
     return count
+
+
+def brute_force_multigraphs(n: int, max_edges: int, min_edges: int = 1, loops: bool = True, connected=None):
+    """One multigraph per vertex-permutation class: every sorted edge
+    multiset, kept when no vertex permutation maps it to a lexicographically
+    smaller sorted edge tuple (all n! permutations tried per multiset)."""
+    pairs = sorted([(i, j) for i in range(n) for j in range(i + 1, n)] + ([(i, i) for i in range(n)] if loops else []))
+    out = []
+    for k in range(min_edges, max_edges + 1):
+        for combo in combinations_with_replacement(pairs, k):
+            if any(
+                tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in combo)) < combo
+                for perm in permutations(range(n))
+            ):
+                continue
+            g = Multigraph(n, combo)
+            if connected is not None and (n <= 1 or bfs_component_count(g, g.full_subset()) == 1) != connected:
+                continue
+            out.append(g)
+    return out
 
 
 RATIONAL_POINTS_20 = [

@@ -154,6 +154,11 @@ BAD_INPUTS = {
     "kn-n": ["kn", "--q", "2", "--lambda", "1", "--n", "abc"],
     "kn-subset-cap": ["kn", "--q", "1.5", "--lambda", "1", "--n", "12"],
     "verify-corrconn-p": ["verify", "corrconn", "--p", "1"],
+    "verify-partition-q": ["verify", "partition", "--q", "3/2"],
+    "rc-partition-p": ["rc-partition", "--graph", "{tri}", "--p", "3/2", "--q", "2"],
+    "flow-count-q": ["flow-count", "--graph", "{tri}", "--q", "0"],
+    "flow-corr-mc-vertex": ["flow-corr-mc", "--graph", "{tri}", "--lam", "1", "--q", "2", "--x", "9", "--y", "1"],
+    "simon-scan-grid": ["simon-scan", "--p-grid", "abc"],
     "edges-not-pairs": ["tutte", "--graph", "{bad}"],
 }
 

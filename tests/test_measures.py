@@ -1,14 +1,17 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from rcpotts.families import simple_graphs
-from rcpotts.graphs import Multigraph, complete, cycle, triangle
+from rcpotts.families import connected_multigraphs_upto, simple_graphs
+from rcpotts.graphs import DEFAULT_SPIN_CAP, Multigraph, complete, cycle, triangle
 from rcpotts.measures import (
     MeasureTable,
     PottsParams,
     RCParams,
+    _connection_probs,
+    _potts_two_points_exact,
     ground_states,
     potts_measure_table,
     potts_partition,
@@ -177,6 +180,30 @@ class TestIdentities:
         for g in simple_graphs(4, connected=True):
             assert verify_corr_conn(g, p, q)["pass"]
 
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("p", [F(1, 3), F(3, 4)])
+    def test_corr_conn_report_matches_all_ordered_pairs(self, p, q):
+        """Checking each distinct pair once reports what checking all n^2
+        ordered pairs did, byte for byte."""
+
+        def all_ordered_pairs(g):
+            w = 1 / (1 - p)
+            pairs = list(product(range(g.n), repeat=2))
+            tau = _potts_two_points_exact(g, q, w, pairs, DEFAULT_SPIN_CAP)
+            phi = _connection_probs(g, RCParams(p, F(q)), pairs)
+            max_dev = max(
+                (abs(tau[pair] - (1 - F(1, q)) * phi[pair]) for pair in pairs), default=F(0)
+            )
+            return {
+                "identity": "corr-conn",
+                "instances": len(phi),
+                "max_abs_deviation": str(max_dev),
+                "pass": max_dev == 0,
+            }
+
+        for g in connected_multigraphs_upto(4, 5):
+            assert verify_corr_conn(g, p, q) == all_ordered_pairs(g)
+
     def test_partition_identity_sweep(self):
         for g in simple_graphs(4):
             for p, q in PQ_GRID:
@@ -239,3 +266,16 @@ class TestZeroTemperature:
     def test_single_edge_q2(self):
         rep = zero_temperature_check(EDGE, 2, [2.0, 5.0, 10.0, 20.0, 40.0])
         assert rep["pass"] and rep["chi"] == 2.0
+
+    @pytest.mark.parametrize("g", [triangle(), complete(5)], ids=["triangle", "K5"])
+    def test_values_equal_potts_partition(self, g):
+        """One enumeration for every beta gives the very floats of one
+        potts_partition call per beta."""
+        schedule = [0.5, 2.0, 5.0, 10.0, 40.0]
+        rep = zero_temperature_check(g, 3, schedule)
+        couplings = tuple([-1] * g.m)
+        assert rep["z_values"] == [potts_partition(g, PottsParams(beta=b, q=3, couplings=couplings)) for b in schedule]
+
+    def test_rejects_q_below_two(self):
+        with pytest.raises(ValueError):
+            zero_temperature_check(triangle(), 1, [2.0])
