@@ -32,38 +32,54 @@ def _from_nx(g) -> Multigraph:
     return Multigraph(len(nodes), tuple((idx[u], idx[v]) for u, v in g.edges()))
 
 
-def _filter_connected(graphs, connected: bool | None) -> list[Multigraph]:
-    return [g for g in graphs if connected is None or is_connected(g) == connected]
-
-
 def simple_graphs(max_nodes: int, max_edges: int | None = None, connected: bool | None = None):
     """Simple graphs up to isomorphism from the atlas (max_nodes <= 7)."""
     if max_nodes > 7:
         raise ValueError("atlas covers at most 7 vertices")
-    return _filter_connected((
-        _from_nx(g) for g in _atlas()
-        if 0 < g.number_of_nodes() <= max_nodes and (max_edges is None or g.number_of_edges() <= max_edges)
-    ), connected)
+    out = []
+    for g in _atlas():
+        if g.number_of_nodes() == 0 or g.number_of_nodes() > max_nodes:
+            continue
+        if max_edges is not None and g.number_of_edges() > max_edges:
+            continue
+        mg = _from_nx(g)
+        if connected is not None and is_connected(mg) != connected:
+            continue
+        out.append(mg)
+    return out
 
 
 def graphs_with_few_edges(max_edges: int, connected: bool | None = None):
     """Simple graphs (up to iso) with at most ``max_edges`` edges; a graph
     with m edges touches at most 2m vertices, and the atlas suffices for
     m <= 6 when isolated vertices are dropped."""
-    return _filter_connected((
-        _from_nx(g) for g in _atlas()
-        if g.number_of_nodes() and g.number_of_edges() <= max_edges
-        # skip isolated-vertex padding; the same graph appears smaller
-        and (g.number_of_nodes() == 1 or all(d for _, d in g.degree()))
-    ), connected)
+    out = []
+    for g in _atlas():
+        if g.number_of_nodes() == 0 or g.number_of_edges() > max_edges:
+            continue
+        if any(d == 0 for _, d in g.degree()) and g.number_of_nodes() > 1:
+            continue  # skip isolated-vertex padding; same graph appears smaller
+        mg = _from_nx(g)
+        if connected is not None and is_connected(mg) != connected:
+            continue
+        out.append(mg)
+    return out
 
 
 def _pair_types(n: int, loops: bool) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i if loops else i + 1, n)]  # in sorted order
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if loops:
+        pairs += [(i, i) for i in range(n)]
+    return sorted(pairs)
 
 
-def multigraphs(n_vertices: int, max_edges: int, min_edges: int = 1, loops: bool = True,
-                connected: bool | None = None):
+def multigraphs(
+    n_vertices: int,
+    max_edges: int,
+    min_edges: int = 1,
+    loops: bool = True,
+    connected: bool | None = None,
+):
     """Multigraphs on exactly ``n_vertices`` with ``min_edges..max_edges``
     edges, one per vertex-permutation class: the one whose sorted tuple of
     pair-type indices is lexicographically least.  Level k holds these tuples
@@ -83,7 +99,10 @@ def multigraphs(n_vertices: int, max_edges: int, min_edges: int = 1, loops: bool
     out, level = [], [()]
     for k in range(max_edges + 1):
         if k >= min_edges:
-            out += _filter_connected((Multigraph(n_vertices, tuple(pairs[i] for i in c)) for c in level), connected)
+            for c in level:
+                g = Multigraph(n_vertices, tuple(pairs[i] for i in c))
+                if connected is None or is_connected(g) == connected:
+                    out.append(g)
         level = [
             c for parent in level for j in range(parent[-1] if parent else 0, len(pairs))
             if canonical(c := parent + (j,))
@@ -96,7 +115,8 @@ def connected_multigraphs_upto(max_vertices: int, max_edges: int, loops: bool = 
     ``max_edges`` edges, one per permutation class per vertex count."""
     out = [Multigraph(1, ())]
     for n in range(1, max_vertices + 1):
-        out.extend(multigraphs(n, max_edges, min_edges=max(n - 1, 1), loops=loops, connected=True))
+        min_e = max(n - 1, 1)
+        out.extend(multigraphs(n, max_edges, min_edges=min_e, loops=loops, connected=True))
     return out
 
 

@@ -353,9 +353,8 @@ def zero_temperature_check(g: Multigraph, q: int, beta_schedule, rel_tol: float 
     from .polynomials import chromatic_poly
 
     chi = float(eval_poly(chromatic_poly(g), Fraction(q), Fraction(0)))
-    couplings = tuple([-1] * g.m)
-    PottsParams(beta=0.0, q=q, couplings=couplings)  # rejects q < 2 as potts_partition does
-    counts = _exponent_counts(g, q, couplings, (), DEFAULT_SPIN_CAP)[0]  # one enumeration for every beta
+    params = PottsParams(beta=0.0, q=q, couplings=tuple([-1] * g.m))  # beta is set per sum below
+    counts = _exponent_counts(g, params.q, params.couplings, (), DEFAULT_SPIN_CAP)[0]  # one enumeration for every beta
     sums = [_float_sums(((b * j, c, ()) for j, c in counts.items()), 0) for b in beta_schedule]
     values = [math.exp(top) * z for top, z, _ in sums]
     gaps = [abs(v - chi) for v in values]

@@ -8,7 +8,7 @@ All coefficients are exact big integers; evaluation takes exact rationals
 
 from __future__ import annotations
 
-import weakref
+from collections import OrderedDict
 
 from .graphs import (
     EnumerationCapExceeded,
@@ -41,10 +41,18 @@ class BivariatePolynomial:
     nonzero coefficient.  Univariate polynomials use the first variable.
     """
 
-    __slots__ = ("terms", "__weakref__")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: c for k, c in dict(terms or {}).items() if c}
+        self.terms = {}
+        if terms:
+            for k, c in dict(terms).items():
+                if c:
+                    self.terms[k] = c
+
+    @classmethod
+    def zero(cls) -> "BivariatePolynomial":
+        return cls()
 
     @classmethod
     def constant(cls, c) -> "BivariatePolynomial":
@@ -143,19 +151,19 @@ def rank_gen_poly(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> BivariatePolyno
 
 
 class TutteCache:
-    """Bounded table of Tutte polynomials, keyed on the deterministic
-    canonical key of each graph; a miss is a polynomial computed.  When full,
-    the oldest entry goes first."""
+    """Bounded LRU table of Tutte polynomials, keyed on the deterministic
+    canonical key of each graph; a miss is a polynomial computed."""
 
     def __init__(self, max_size: int = DEFAULT_CACHE_SIZE):
         self.max_size = max_size
-        self._table: dict = {}
+        self._table: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def get(self, key):
         val = self._table.get(key)
         if val is not None:
+            self._table.move_to_end(key)
             self.hits += 1
         else:
             self.misses += 1
@@ -163,22 +171,12 @@ class TutteCache:
 
     def put(self, key, value):
         self._table[key] = value
-        if len(self._table) > self.max_size:
-            del self._table[next(iter(self._table))]
+        self._table.move_to_end(key)
+        while len(self._table) > self.max_size:
+            self._table.popitem(last=False)
 
 
 _default_cache = TutteCache()
-_held: dict = {}  # canonical key -> (that key, weak reference to its polynomial)
-
-
-def _share(key, poly):
-    """The key and polynomial that a live cache already holds for this graph,
-    else these: caches kept side by side then hold one copy of each."""
-    held = _held.get(key)
-    if held and (shared := held[1]()) is not None:
-        return held[0], shared
-    _held[key] = key, weakref.ref(poly, lambda _, k=key: _held.pop(k, None))
-    return key, poly
 
 
 def _is_bridge(g: Multigraph, e: int) -> bool:
@@ -205,7 +203,7 @@ def tutte_poly(g: Multigraph, cache: TutteCache | None = None) -> BivariatePolyn
     result = cache.get(key)
     if result is None:
         memo = TutteCache(cache.max_size)
-        key, result = _share(key, _tutte_rec(g, memo))
+        result = _tutte_rec(g, memo)
         cache.put(key, result)
         cache.hits += memo.hits
         cache.misses += memo.misses - 1  # g's miss is counted once, above
@@ -259,7 +257,7 @@ def tutte_from_rank_gen(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> Bivariate
     r_full, _ = rank_corank(g, g.full_subset())
     x1 = BivariatePolynomial({(1, 0): 1, (0, 0): -1})  # x - 1
     y1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1})  # y - 1
-    out = BivariatePolynomial()
+    out = BivariatePolynomial.zero()
     for (r, c), coeff in w.terms.items():
         out = out + coeff * (x1 ** (r_full - r)) * (y1**c)
     return out
@@ -302,7 +300,7 @@ def chromatic_poly(g: Multigraph, cache: TutteCache | None = None) -> BivariateP
     r_full, _ = rank_corank(g, full)
     k_full = component_count(g, full)
     one_minus_q = BivariatePolynomial({(0, 0): 1, (1, 0): -1})
-    out = BivariatePolynomial()
+    out = BivariatePolynomial.zero()
     for (i, j), c in t.terms.items():
         if j == 0:
             out = out + c * (one_minus_q**i)

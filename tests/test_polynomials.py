@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from rcpotts import polynomials
 from rcpotts.families import connected_multigraphs_upto, graphs_with_few_edges
-from rcpotts.graphs import Multigraph, canonical_key, complete, cycle, path, triangle
+from rcpotts.graphs import Multigraph, complete, cycle, path, triangle
 from rcpotts.polynomials import (
     BivariatePolynomial,
     EnumerationCapExceeded,
@@ -87,15 +86,6 @@ class TestTutte:
         misses = cache.misses
         assert tutte_poly(g, cache) is t
         assert cache.misses == misses and cache.hits >= 1
-
-    def test_caches_side_by_side_hold_one_copy(self):
-        g = Multigraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (0, 2), (3, 3)))
-        a, b = TutteCache(), TutteCache()
-        t = tutte_poly(g, a)
-        assert tutte_poly(g, b) is t and a.misses == b.misses
-        assert next(iter(a._table)) is next(iter(b._table))
-        del a, b, t
-        assert canonical_key(g) not in polynomials._held  # held weakly: gone with its caches
 
     def test_spanning_tree_count_honours_subset_cap(self):
         with pytest.raises(EnumerationCapExceeded):
