@@ -324,7 +324,11 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    _emit(report, args.out, args.format)
+    try:
+        _emit(report, args.out, args.format)
+    except OSError as exc:
+        print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
+        return 1
     if report.get("pass") is False:
         return 2
     return 0

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import chain, product
 from operator import or_
 
+import numpy as np
+
 DEFAULT_SPIN_CAP = 10**7
 
 
@@ -175,9 +177,74 @@ def spin_configs(g: Multigraph, q: int, cap: int = DEFAULT_SPIN_CAP):
         yield from zip(map(prefix.__add__, tails), map(or_, outer, tail_agree))
 
 
+SUBSET_CROSSOVER = 6  # edges from which numpy blocks beat the generator
+SUBSET_BLOCK_EDGES = 12  # a block holds the 2^12 subsets of the low edges
+SUBSET_BLOCK_LABELS = 1 << 18  # and at most this many labels (fewer edges when n > 64)
+
+
+def subset_counts(g: Multigraph, pairs=()) -> tuple[Counter, dict]:
+    """``(counts, hits)``: the number of edge subsets A per key (|A|, k(A)),
+    and for each vertex pair (x, y) in ``pairs`` the same tally over the
+    subsets that join x and y.  Counts are exact Python ints, and ``counts``
+    lists its keys in the order ``edge_subsets`` first meets them, so a float
+    sum over ``counts.items()`` adds its terms in the same order on both paths.
+
+    Below SUBSET_CROSSOVER edges the tallies read ``edge_subsets``.  From it
+    on, the low c = min(m, SUBSET_BLOCK_EDGES) edges (fewer if 2^c * n would
+    pass SUBSET_BLOCK_LABELS) form one numpy block of 2^c subsets per subset
+    of the high edges.  Starting from the high subset's labels and its key
+    |A| * (n + 1) + k(A), the block doubles once per low edge: the new half
+    merges the edge's two clusters, adds n + 1 to the key and subtracts one if
+    the clusters differed.  Column r holds low subset r.  One bincount over
+    the keys tallies a block, and one more per pair tallies the columns where
+    the pair's labels agree.  Nothing is kept between calls.
+    """
+    pairs = list(pairs)
+    if g.m < SUBSET_CROSSOVER:
+        if not pairs:
+            return Counter((a.bit_count(), k) for a, k, _ in edge_subsets(g)), {}
+        counts, hits = Counter(), {pair: Counter() for pair in pairs}
+        for a, k, labels in edge_subsets(g):
+            key = (a.bit_count(), k)
+            counts[key] += 1
+            for (x, y), hit in hits.items():
+                if labels[x] == labels[y]:
+                    hit[key] += 1
+        return counts, hits
+
+    n = g.n
+    c = min(g.m, SUBSET_BLOCK_EDGES, max((SUBSET_BLOCK_LABELS // n).bit_length() - 1, 0))
+    width = (g.m + 1) * (n + 1)  # one slot per key, at size * (n + 1) + k
+    labels = np.empty((n, 1 << c), dtype=np.min_scalar_type(n))  # column r: low subset r
+    keys = np.empty(1 << c, dtype=np.intp)
+    total = np.zeros(width, dtype=np.int64)
+    joined = np.zeros((len(pairs), width), dtype=np.int64)
+    order = []  # slots in the order edge_subsets first meets them
+    for a, k, high_labels in edge_subsets(Multigraph(n, g.edges[c:])):
+        labels[:, 0], keys[0] = high_labels, a.bit_count() * (n + 1) + k
+        for t, (u, v) in enumerate(g.edges[:c]):
+            s = 1 << t
+            old, new = labels[:, :s], labels[:, s : 2 * s]
+            lo, hi = np.minimum(old[u], old[v]), np.maximum(old[u], old[v])
+            new[...] = old
+            np.copyto(new, lo, where=new == hi)
+            np.subtract(keys[:s], lo != hi, out=keys[s : 2 * s])
+            keys[s : 2 * s] += n + 1  # one edge more
+        order += dict.fromkeys(keys[(total == 0)[keys]].tolist())
+        total += np.bincount(keys, minlength=width)
+        for i, (x, y) in enumerate(pairs):
+            joined[i] += np.bincount(keys[labels[x] == labels[y]], minlength=width)
+    counts = Counter({divmod(slot, n + 1): int(total[slot]) for slot in order})
+    hits = {
+        pair: Counter({divmod(slot, n + 1): int(row[slot]) for slot in order if row[slot]})
+        for pair, row in zip(pairs, joined)
+    }
+    return counts, hits
+
+
 def subset_size_components(g: Multigraph) -> Counter:
-    """Number of edge subsets A per key (|A|, k(A))."""
-    return Counter((a.bit_count(), k) for a, k, _ in edge_subsets(g))
+    """Number of edge subsets A per key (|A|, k(A)); see ``subset_counts``."""
+    return subset_counts(g)[0]
 
 
 def rank_corank(g: Multigraph, a: int) -> tuple[int, int]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import DEFAULT_SPIN_CAP, Multigraph, UnionFind, edge_subsets, is_connected, spin_configs, subset_size_components
+from .graphs import DEFAULT_SPIN_CAP, Multigraph, UnionFind, edge_subsets, is_connected, spin_configs, subset_counts, subset_size_components
 from .polynomials import DEFAULT_ENUM_CAP, TutteCache, _check_cap, eval_poly, tutte_poly
 
 DEFAULT_BOND_CAP = 20
@@ -45,6 +45,8 @@ class PottsParams:
     fields: tuple | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be finite")
         if self.q < 2:
             raise ValueError("q must be an integer >= 2")
         if self.couplings is not None and any(j == 0 for j in self.couplings):
@@ -122,14 +124,7 @@ def connected_in(g: Multigraph, a: int, x: int, y: int) -> bool:
 
 def _connection_probs(g: Multigraph, params: RCParams, pairs) -> dict:
     """phi_{p,q}(x <-> y) for each vertex pair in ``pairs``, in one subset pass."""
-    counts = Counter()
-    hits = {pair: Counter() for pair in pairs}
-    for a, k, labels in edge_subsets(g):
-        key = (a.bit_count(), k)
-        counts[key] += 1
-        for (x, y), hit in hits.items():
-            if labels[x] == labels[y]:
-                hit[key] += 1
+    counts, hits = subset_counts(g, pairs)
     z = _rc_sum(g, params, counts)
     return {pair: _rc_sum(g, params, hit) / z for pair, hit in hits.items()}
 
@@ -217,13 +212,18 @@ def _potts_float_sums(g: Multigraph, params: PottsParams, pairs, cap: int):
             for s, agree in spin_configs(g, params.q, cap)
         )
     top, z, acc = _float_sums(terms, len(pairs))
+    if not math.isfinite(top):  # every weight would be inf / inf
+        raise OverflowError(f"beta = {beta} takes the largest energy out of float range")
     return top, z, dict(zip(pairs, acc))
 
 
 def potts_partition(g: Multigraph, params: PottsParams, cap: int = DEFAULT_SPIN_CAP) -> float:
     """Z_P for real beta, general couplings and external fields (floats)."""
     top, z, _ = _potts_float_sums(g, params, (), cap)
-    return math.exp(top) * z
+    z = math.exp(top) * z
+    if not math.isfinite(z):
+        raise OverflowError(f"Z_P overflows a float at beta = {params.beta}")
+    return z
 
 
 def potts_two_point(g: Multigraph, params: PottsParams, x: int, y: int, cap: int = DEFAULT_SPIN_CAP) -> float:

@@ -151,6 +151,11 @@ class TestErrors:
 BAD_INPUTS = {
     "sample-sw-vertex": ["sample-sw", "--graph", "{tri}", "--p", "0.5", "--q", "2", "--sweeps", "10", "--x", "7"],
     "potts-partition-q": ["potts-partition", "--graph", "{tri}", "--beta", "1", "--q", "1"],
+    "potts-partition-beta-nan": ["potts-partition", "--graph", "{tri}", "--beta", "nan", "--q", "2"],
+    "potts-partition-beta-inf": ["potts-partition", "--graph", "{tri}", "--beta", "inf", "--q", "2"],
+    "potts-partition-beta-1e308": ["potts-partition", "--graph", "{tri}", "--beta", "1e308", "--q", "2"],
+    "rc-partition-out-unwritable": ["rc-partition", "--graph", "{tri}", "--p", "1/2", "--q", "2",
+                                    "--out", "{tmp}/no-such-dir/out.json"],
     "kn-n": ["kn", "--q", "2", "--lambda", "1", "--n", "abc"],
     "kn-subset-cap": ["kn", "--q", "1.5", "--lambda", "1", "--n", "12"],
     "verify-corrconn-p": ["verify", "corrconn", "--p", "1"],
@@ -167,7 +172,7 @@ BAD_INPUTS = {
 def test_bad_input_exits_with_code(case, capsys, tmp_path, triangle_file):
     bad = tmp_path / "not_pairs.json"
     bad.write_text(json.dumps({"n": 3, "edges": [[0, 1, 2]]}))
-    argv = [a.format(tri=triangle_file, bad=bad) for a in BAD_INPUTS[case]]
+    argv = [a.format(tri=triangle_file, bad=bad, tmp=tmp_path) for a in BAD_INPUTS[case]]
     assert run(argv) == 1
     assert "error:" in capsys.readouterr().err
 

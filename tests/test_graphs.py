@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from rcpotts.coupling import make_rng
 from rcpotts.families import random_multigraph
 from rcpotts.graphs import (
+    SUBSET_BLOCK_EDGES,
+    SUBSET_CROSSOVER,
     EdgeSubsetError,
     EnumerationCapExceeded,
     Multigraph,
@@ -22,8 +26,10 @@ from rcpotts.graphs import (
     path,
     rank_corank,
     spin_configs,
+    subset_counts,
     triangle,
 )
+from rcpotts.polynomials import count_spanning_trees, rank_gen_poly
 from .conftest import agreement_oracle, bfs_component_count, bfs_reachable
 
 
@@ -83,6 +89,62 @@ class TestEdgeSubsets:
         g = Multigraph(300, ((0, 1), (0, 1), (2, 2)))
         _check_subset_kernel(g)
         assert [k for _, k, _ in edge_subsets(g)] == [300, 299, 299, 299, 300, 299, 299, 299]
+
+
+def petersen() -> Multigraph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Multigraph(10, tuple(outer + spokes + inner))
+
+
+def _check_subset_counts(g: Multigraph, pairs):
+    """subset_counts against BFS run on every subset, and its key order
+    against the order edge_subsets first meets each key."""
+    want, want_hits = Counter(), {pair: Counter() for pair in pairs}
+    for a in range(1 << g.m):
+        key = (a.bit_count(), bfs_component_count(g, a))
+        want[key] += 1
+        for x, y in pairs:
+            if y in bfs_reachable(g, a, x):
+                want_hits[x, y][key] += 1
+    counts, hits = subset_counts(g, pairs)
+    assert counts == want and hits == want_hits
+    assert all(type(c) is int for c in counts.values())
+    assert list(counts) == list(dict.fromkeys((a.bit_count(), k) for a, k, _ in edge_subsets(g)))
+    assert subset_counts(g)[0] == want
+
+
+class TestSubsetCounts:
+    def test_both_sides_of_the_crossover(self):
+        assert SUBSET_CROSSOVER < 14 and SUBSET_BLOCK_EDGES < 13  # m = 13 and 14 run several blocks
+        for m in range(15):
+            rng = make_rng(m)
+            n = int(rng.integers(1, 8))
+            g = random_multigraph(n, m, rng, loops=True)  # loops, parallel edges, isolated vertices
+            pairs = sorted({(0, n - 1), (n // 2, n // 2)})
+            _check_subset_counts(g, pairs)
+
+    def test_isolated_vertices(self):
+        g = Multigraph(9, ((0, 1), (1, 2), (2, 0), (0, 1), (3, 4), (4, 4), (2, 3)))
+        _check_subset_counts(g, [(0, 4), (0, 8), (5, 6)])
+
+    def test_one_vertex_with_only_loops(self):
+        counts, hits = subset_counts(Multigraph(1, ((0, 0),) * 8), [(0, 0)])
+        assert counts == hits[0, 0] == Counter({(s, 1): math.comb(8, s) for s in range(9)})
+
+    def test_many_vertices(self):
+        # labels above 255 need 16 bits, and 300 labels per subset shrink the block to 2^9 subsets
+        edges = ((256, 299), (299, 298), (0, 1), (257, 258), (258, 256), (1, 299), (2, 2), (3, 4), (4, 299), (5, 5), (0, 3))
+        _check_subset_counts(Multigraph(300, edges), [(0, 298), (0, 2), (257, 299)])
+
+    def test_spanning_trees(self):
+        assert count_spanning_trees(petersen()) == 2000
+        assert count_spanning_trees(complete(6)) == 1296
+
+    def test_rank_gen_at_one_one(self):
+        for g in (petersen(), complete(6), random_multigraph(5, 13, make_rng(3))):
+            assert sum(rank_gen_poly(g).terms.values()) == 2**g.m  # W(1,1) = 2^m
 
 
 def _check_spin_kernel(g: Multigraph, q: int):

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from rcpotts.families import connected_multigraphs_upto, simple_graphs
-from rcpotts.graphs import DEFAULT_SPIN_CAP, Multigraph, complete, cycle, triangle
+from rcpotts.coupling import make_rng
+from rcpotts.families import connected_multigraphs_upto, random_multigraph, simple_graphs
+from rcpotts.graphs import DEFAULT_SPIN_CAP, SUBSET_CROSSOVER, Multigraph, complete, cycle, triangle
 from rcpotts.measures import (
     MeasureTable,
     PottsParams,
@@ -28,6 +29,8 @@ from rcpotts.measures import (
     zero_temperature_check,
 )
 from rcpotts.polynomials import EnumerationCapExceeded, multivariate_tutte
+
+from .conftest import bfs_component_count, bfs_reachable
 
 F = Fraction
 EDGE = Multigraph(2, ((0, 1),))
@@ -97,6 +100,45 @@ class TestConnectionProb:
         assert rc_connection_prob(g, RCParams(F(1, 2), F(2)), 0, 2) == 0
 
 
+def _connection_oracle(g: Multigraph, p: Fraction, q: Fraction, pairs) -> dict:
+    """phi(x <-> y) for each pair, summed subset by subset with BFS clusters."""
+    z, hits = F(0), {pair: F(0) for pair in pairs}
+    for a in range(1 << g.m):
+        w = p ** a.bit_count() * (1 - p) ** (g.m - a.bit_count()) * q ** bfs_component_count(g, a)
+        z += w
+        for x, y in pairs:
+            if y in bfs_reachable(g, a, x):
+                hits[x, y] += w
+    return {pair: hit / z for pair, hit in hits.items()}
+
+
+# (n, m, seed): random multigraphs with loops and parallel edges, 7 to 12 edges
+LARGE_CONNECTION_CASES = [(5, 7, 0), (6, 9, 1), (4, 10, 2), (6, 12, 3)]
+
+
+class TestConnectionAboveCrossover:
+    @pytest.mark.parametrize(("n", "m", "seed"), LARGE_CONNECTION_CASES)
+    def test_connection_prob_matches_bfs_sum(self, n, m, seed):
+        assert m >= SUBSET_CROSSOVER
+        g = random_multigraph(n, m, make_rng(seed), loops=True)
+        params = RCParams(F(2, 5), F(3, 2))
+        want = _connection_oracle(g, params.p, params.q, [(0, n - 1), (1, 2)])
+        for (x, y), phi in want.items():
+            assert rc_connection_prob(g, params, x, y) == phi
+
+    @pytest.mark.parametrize(("n", "m", "seed"), LARGE_CONNECTION_CASES)
+    def test_corr_conn_matches_bfs_sum(self, n, m, seed):
+        g = random_multigraph(n, m, make_rng(seed), loops=True)
+        p, q = F(1, 3), 3
+        pairs = list(combinations(range(n), 2))
+        phi = _connection_oracle(g, p, F(q), pairs)
+        assert _connection_probs(g, RCParams(p, F(q)), pairs) == phi
+        tau = _potts_two_points_exact(g, q, 1 / (1 - p), pairs, DEFAULT_SPIN_CAP)
+        assert all(tau[pair] == (1 - F(1, q)) * phi[pair] for pair in pairs)
+        report = verify_corr_conn(g, p, q)
+        assert report["pass"] and report["max_abs_deviation"] == "0"
+
+
 class TestPotts:
     def test_single_edge_exact(self):
         # e^beta = 2: two agreeing states weigh 2, two disagreeing weigh 1
@@ -129,6 +171,18 @@ class TestPotts:
         assert potts_two_point(triangle(), PottsParams(beta=1000, q=2), 0, 1) == 0.5
         with pytest.raises(OverflowError):
             potts_partition(triangle(), PottsParams(beta=1000, q=2))
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            PottsParams(beta=beta, q=2)
+
+    def test_overflow_at_huge_beta(self):
+        # beta * 3 is inf, so every weight is inf / inf: raise, never return nan
+        with pytest.raises(OverflowError):
+            potts_partition(triangle(), PottsParams(beta=1e308, q=2))
+        with pytest.raises(OverflowError):
+            potts_two_point(triangle(), PottsParams(beta=1e308, q=2), 0, 1)
 
     def test_two_point_vertex_range(self):
         with pytest.raises(ValueError, match="vertex out of range"):
