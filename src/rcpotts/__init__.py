@@ -2,6 +2,7 @@
 and Ising models and their Tutte-polynomial identities on finite graphs."""
 
 from .graphs import (
+    EnumerationCapExceeded,
     Multigraph,
     canonical_key,
     complete,
@@ -17,7 +18,6 @@ from .graphs import (
 )
 from .polynomials import (
     BivariatePolynomial,
-    EnumerationCapExceeded,
     TutteCache,
     chromatic_poly,
     count_proper_colourings,

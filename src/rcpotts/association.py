@@ -21,7 +21,6 @@ from operator import and_, or_
 from .graphs import Multigraph, edge_subsets, is_connected
 from .measures import MeasureTable, RCParams, rc_measure_table
 from .coupling import make_rng
-from .polynomials import DEFAULT_ENUM_CAP, _check_cap
 
 UPSET_EDGE_CAP = 5  # Dedekind numbers blow up past the 5-cube (7581 up-sets)
 
@@ -311,7 +310,6 @@ def uniform_substructure_measure(g: Multigraph, kind: str) -> MeasureTable:
         ok = lambda size, k: k == 1
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    _check_cap(g.m, DEFAULT_ENUM_CAP)
     support = [a for a, k, _ in edge_subsets(g) if ok(a.bit_count(), k)]
     w = Fraction(1, len(support))
     return MeasureTable(("bond", g.m), {a: w for a in support})

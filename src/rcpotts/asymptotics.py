@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import complete
-from .measures import RCParams, rc_partition
-from .polynomials import EnumerationCapExceeded
-
 ROOT_GRID = 10**4
 
 
@@ -136,11 +132,29 @@ def _potts_z_complete(n: int, q: int, w: Fraction) -> Fraction:
     return rec(n, q)
 
 
-def empirical_rate(n: int, lam: float, q, subset_cap: int = 2**28) -> float:
+def _rc_z_complete(n: int, p: Fraction, q: Fraction) -> Fraction:
+    """Z_RC on K_n, exactly, by splitting off vertex 0's open cluster
+    (Bollobas, Grimmett & Janson, PTRF 1996).  With r = 1-p,
+
+        Z_n = sum_k C(n-1, k-1) c_k q r^(k(n-k)) Z_(n-k),  Z_0 = 1,
+
+    where c_k, the chance that bond percolation on K_k is connected, solves
+    the same sum at q = 1, where every Z is 1.
+    """
+    r = 1 - p
+    c, z = [], [Fraction(1)]  # c[k - 1] = c_k, z[j] = Z_j
+    for j in range(1, n + 1):
+        w = [math.comb(j - 1, k - 1) * r ** (k * (j - k)) for k in range(1, j + 1)]
+        c.append(1 - sum(w[k] * c[k] for k in range(j - 1)))
+        z.append(q * sum(w[k] * c[k] * z[j - 1 - k] for k in range(j)))
+    return z[n]
+
+
+def empirical_rate(n: int, lam: float, q) -> float:
     """(1/n) log Z_RC(n, lam/n, q), exact arithmetic then one float log.
 
-    Integer q goes through the Potts partition sum (Z_RC = (1-p)^|E| Z_P
-    with e^(-beta) = 1-p); real q falls back to edge-subset enumeration.
+    Integer q >= 2 goes through the Potts partition sum (Z_RC = (1-p)^|E| Z_P
+    with e^(-beta) = 1-p); every other q through the cluster recursion.
     """
     if n <= lam:
         raise ValueError("p = lambda/n needs n > lambda")
@@ -151,15 +165,8 @@ def empirical_rate(n: int, lam: float, q, subset_cap: int = 2**28) -> float:
         w = 1 / (1 - p)  # e^beta
         z_p = _potts_z_complete(n, int(q_frac), w)
         log_z = m_edges * _log_fraction(1 - p) + _log_fraction(z_p)
-    elif q_frac == 1:
-        log_z = 0.0
     else:
-        if 2**m_edges > subset_cap:
-            raise EnumerationCapExceeded(
-                f"2^{m_edges} subsets above cap {subset_cap} for real q"
-            )
-        z = rc_partition(complete(n), RCParams(p, q_frac), cap=m_edges)
-        log_z = _log_fraction(z)
+        log_z = _log_fraction(_rc_z_complete(n, p, q_frac))
     return log_z / n
 
 

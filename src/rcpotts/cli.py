@@ -15,9 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .graphs import Multigraph, from_json_dict, triangle, cycle
+from .graphs import EnumerationCapExceeded, Multigraph, from_json_dict, triangle, cycle
 from .polynomials import (
-    EnumerationCapExceeded,
     TutteCache,
     chromatic_poly,
     flow_poly,

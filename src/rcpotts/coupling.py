@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .graphs import EnumerationCapExceeded, Multigraph, UnionFind, spin_configs
+from .graphs import Multigraph, UnionFind, check_budget, spin_configs
 from .measures import MeasureTable, _check_vertices, connected_in
 
 
@@ -59,15 +59,14 @@ def _subsets(mask: int):
         yield sub
 
 
-def joint_table(g: Multigraph, p: Fraction, q: int, cap: int = 1 << 20) -> MeasureTable:
+def joint_table(g: Multigraph, p: Fraction, q: int) -> MeasureTable:
     """Exact Edwards-Sokal joint measure: uniform spins times density-p bond
     percolation, conditioned on spins being constant on open clusters."""
     p = Fraction(p)
-    if q**g.n * (1 << g.m) > cap:
-        raise EnumerationCapExceeded("joint space above cap")
+    check_budget("table", q**g.n << g.m)
     by_size = [p**k * (1 - p) ** (g.m - k) for k in range(g.m + 1)]
     weights = {}
-    for spins, agree in spin_configs(g, q, cap):
+    for spins, agree in spin_configs(g, q):
         for bonds in _subsets(agree):
             weights[JointConfig(spins, bonds)] = by_size[bonds.bit_count()]
     z = sum(weights.values())
@@ -176,6 +175,7 @@ def kernel_step_distribution(g: Multigraph, table: MeasureTable, p: Fraction, q:
     Used to verify stationarity: the Edwards-Sokal table must map to itself.
     Works on joint spaces of at most a few hundred states.
     """
+    check_budget("table", q**g.n << g.m)
     p = Fraction(p)
     agree = dict(spin_configs(g, q))
     # both kernels read only the spins, so merge the table over bond sets first

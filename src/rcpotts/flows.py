@@ -19,12 +19,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .graphs import Multigraph, subset_size_components
-from .measures import RCParams, rc_connection_prob, rc_partition
+from .graphs import Multigraph, check_budget, subset_size_components
+from .measures import RCParams, _check_vertices, _connection_probs, rc_partition
 from .coupling import make_rng
-from .polynomials import DEFAULT_ENUM_CAP, EnumerationCapExceeded, _check_cap, multivariate_tutte
-
-DEFAULT_FLOW_CAP = 10**8
+from .polynomials import multivariate_tutte
 
 
 @dataclass(frozen=True)
@@ -37,12 +35,7 @@ class OrientedMultigraph:
             raise ValueError("one direction bit per edge required")
 
 
-def count_flows(
-    g: Multigraph,
-    q: int,
-    orientation: OrientedMultigraph | None = None,
-    cap: int = DEFAULT_FLOW_CAP,
-) -> int:
+def count_flows(g: Multigraph, q: int, orientation: OrientedMultigraph | None = None) -> int:
     """Number of nowhere-zero mod-q flows, by brute force over edge values.
 
     Loops conserve trivially and accept any of the q-1 non-zero values.  The
@@ -51,10 +44,7 @@ def count_flows(
     """
     if q < 2:
         raise ValueError("q must be an integer >= 2")
-    if (q - 1) ** g.m > cap:
-        raise EnumerationCapExceeded(
-            f"(q-1)^|E| = {(q - 1) ** g.m} above cap {cap}"
-        )
+    check_budget("flows", (q - 1) ** g.m)
     if g.m == 0:
         return 1
     dirs = orientation.directions if orientation else [1] * g.m
@@ -149,15 +139,14 @@ def _extended(g: Multigraph, x: int, y: int) -> Multigraph:
 def flow_correlation_mc(g: Multigraph, lam: float, q, x: int, y: int, cfg) -> dict:
     """Estimate E[C(G_P^{x,y}; q)] / E[C(G_P; q)] over ``cfg.samples``
     Poisson(lam) thickenings, evaluating G and its (x, y)-extension once per
-    distinct multiplicity tuple.  The extension has |E| + 1 edges, so G may
-    have at most DEFAULT_ENUM_CAP - 1.
+    distinct multiplicity tuple.  The extension has |E| + 1 edges, so it
+    meets the subset budget first.
 
     Under the beta = lam*q bridge this ratio equals q*tau_{beta,q}(x,y).
     """
     if x == y:
         raise ValueError("x and y must be distinct")
     gx = _extended(g, x, y)
-    _check_cap(gx.m, DEFAULT_ENUM_CAP)
     draws = _poisson_draws(g, lam, make_rng(cfg.seed), cfg.samples)
     draws = [tuple(row) for row in draws.tolist()]
     values = {
@@ -237,7 +226,6 @@ def compflow_identity(
     """
     if q < 2:
         raise ValueError("q must be an integer >= 2")
-    _check_cap(g.m, DEFAULT_ENUM_CAP)
     lam = -math.log(1.0 - p) / q
     pmf = [_poisson_pmf(lam, m) for m in range(m_max + 1)]
     a0 = sum(w * (-1) ** m for m, w in enumerate(pmf))
@@ -309,14 +297,15 @@ def simon_check(
     if x == z:
         raise ValueError("x and z must be distinct")
     params = RCParams(Fraction(p), Fraction(q))
-    lhs = rc_connection_prob(g, params, x, z)
+    _check_vertices(g, x, z)
+    others = [y for y in range(g.n) if y not in (x, z)]
+    pairs = [(x, z), *((x, y) for y in others), *((y, z) for y in others)]
+    phi = _connection_probs(g, params, pairs)  # one subset pass for every separator
+    lhs = phi[x, z]
     violations = []
     checked = 0
     for w in separating_sets(g, x, z, max_w):
-        rhs = sum(
-            rc_connection_prob(g, params, x, y) * rc_connection_prob(g, params, y, z)
-            for y in w
-        )
+        rhs = sum(phi[x, y] * phi[y, z] for y in w)
         checked += 1
         if lhs > rhs:
             violations.append(

@@ -15,7 +15,10 @@ from operator import or_
 
 import numpy as np
 
-DEFAULT_SPIN_CAP = 10**7
+# The one enumeration budget: the most configurations of each kind that any
+# call may enumerate or store.  "table" counts the entries of an explicit
+# measure table.
+BUDGET = {"subsets": 1 << 24, "spins": 10**7, "flows": 10**8, "table": 1 << 20}
 
 
 class EdgeSubsetError(ValueError):
@@ -23,7 +26,14 @@ class EdgeSubsetError(ValueError):
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Raised when an enumeration would go over its configuration cap."""
+    """Raised when an enumeration would go over its budget."""
+
+
+def check_budget(kind: str, size: int) -> None:
+    """Raise EnumerationCapExceeded if ``size`` configurations of ``kind``
+    are more than BUDGET allows."""
+    if size > BUDGET[kind]:
+        raise EnumerationCapExceeded(f"{size} {kind} above the budget of {BUDGET[kind]}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +140,7 @@ def edge_subsets(g: Multigraph):
     latest subset with lowest edge t and slot m (index -1) the empty subset,
     so memory is O(m n) and nothing is cached.
     """
+    check_budget("subsets", 1 << g.m)
     stack = [(g.n, tuple(range(g.n)))] * (g.m + 1)
     yield 0, g.n, stack[-1][1]
     for a in range(1, 1 << g.m):
@@ -146,17 +157,15 @@ def edge_subsets(g: Multigraph):
         yield a, k, labels
 
 
-def spin_configs(g: Multigraph, q: int, cap: int = DEFAULT_SPIN_CAP):
+def spin_configs(g: Multigraph, q: int):
     """Yield ``(sigma, agree)`` for every sigma in {0..q-1}^V, in
     ``itertools.product(range(q), repeat=n)`` order; bit i of ``agree`` is
     set iff edge i's endpoints have equal spins (a loop always agrees).
-    Raises EnumerationCapExceeded when q^n > cap.
 
     The last k vertices form a tail of at most 256 spin tuples.  Per prefix
     of the other (head) vertices, each tail vertex's edges into the head
     give one mask per spin, so a configuration costs one tuple and one OR."""
-    if q**g.n > cap:
-        raise EnumerationCapExceeded(f"{q}^{g.n} spin states above cap {cap}")
+    check_budget("spins", q**g.n)
     k = g.n
     while k > 1 and q**k > 256:
         k -= 1
@@ -199,6 +208,7 @@ def subset_counts(g: Multigraph, pairs=()) -> tuple[Counter, dict]:
     the keys tallies a block, and one more per pair tallies the columns where
     the pair's labels agree.  Nothing is kept between calls.
     """
+    check_budget("subsets", 1 << g.m)
     pairs = list(pairs)
     if g.m < SUBSET_CROSSOVER:
         if not pairs:

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import DEFAULT_SPIN_CAP, Multigraph, UnionFind, edge_subsets, is_connected, spin_configs, subset_counts, subset_size_components
-from .polynomials import DEFAULT_ENUM_CAP, TutteCache, _check_cap, eval_poly, tutte_poly
-
-DEFAULT_BOND_CAP = 20
+from .graphs import Multigraph, UnionFind, check_budget, edge_subsets, is_connected, spin_configs, subset_counts, subset_size_components
+from .polynomials import TutteCache, eval_poly, tutte_poly
 
 
 @dataclass(frozen=True)
@@ -92,14 +90,13 @@ def _rc_sum(g: Multigraph, params: RCParams, counts) -> Fraction:
     return sum(c * p**size * (1 - p) ** (g.m - size) * q**k for (size, k), c in counts.items())
 
 
-def rc_partition(g: Multigraph, params: RCParams, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
+def rc_partition(g: Multigraph, params: RCParams) -> Fraction:
     """Random-cluster partition function by subset enumeration, exact."""
-    _check_cap(g.m, cap)
     return _rc_sum(g, params, subset_size_components(g))
 
 
-def rc_measure_table(g: Multigraph, params: RCParams, cap: int = DEFAULT_BOND_CAP) -> MeasureTable:
-    _check_cap(g.m, cap)
+def rc_measure_table(g: Multigraph, params: RCParams) -> MeasureTable:
+    check_budget("table", 1 << g.m)
     counts = subset_size_components(g)
     z = _rc_sum(g, params, counts)
     prob = {key: _rc_sum(g, params, {key: 1}) / z for key in counts}
@@ -129,12 +126,11 @@ def _connection_probs(g: Multigraph, params: RCParams, pairs) -> dict:
     return {pair: _rc_sum(g, params, hit) / z for pair, hit in hits.items()}
 
 
-def rc_connection_prob(g: Multigraph, params: RCParams, x: int, y: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
+def rc_connection_prob(g: Multigraph, params: RCParams, x: int, y: int) -> Fraction:
     """phi_{p,q}(x <-> y), exact."""
     _check_vertices(g, x, y)
     if x == y:
         return Fraction(1)
-    _check_cap(g.m, cap)
     return _connection_probs(g, params, [(x, y)])[x, y]
 
 
@@ -149,13 +145,13 @@ def _exponent(couplings):
     return lambda agree: sum(j for i, j in enumerate(couplings) if agree >> i & 1)
 
 
-def _exponent_counts(g: Multigraph, q: int, couplings, pairs, cap: int):
+def _exponent_counts(g: Multigraph, q: int, couplings, pairs):
     """Configurations counted per coupling exponent, in total and, for each
     vertex pair in ``pairs``, among those with sigma_x = sigma_y."""
     exponent = _exponent(couplings)
     counts = Counter()
     hits = {pair: Counter() for pair in pairs}
-    for s, agree in spin_configs(g, q, cap):
+    for s, agree in spin_configs(g, q):
         j = exponent(agree)
         counts[j] += 1
         for (x, y), hit in hits.items():
@@ -168,18 +164,14 @@ def _weigh(counts, w: Fraction) -> Fraction:
     return sum(c * w**j for j, c in counts.items())
 
 
-def potts_partition_exact(
-    g: Multigraph, q: int, w: Fraction, couplings=None, cap: int = DEFAULT_SPIN_CAP
-) -> Fraction:
+def potts_partition_exact(g: Multigraph, q: int, w: Fraction, couplings=None) -> Fraction:
     """Z_P with e^beta = w exact; integer couplings only (default all +1)."""
-    return _weigh(_exponent_counts(g, q, couplings, (), cap)[0], Fraction(w))
+    return _weigh(_exponent_counts(g, q, couplings, ())[0], Fraction(w))
 
 
-def potts_measure_table(
-    g: Multigraph, q: int, w: Fraction, couplings=None, cap: int = DEFAULT_SPIN_CAP
-) -> MeasureTable:
+def potts_measure_table(g: Multigraph, q: int, w: Fraction, couplings=None) -> MeasureTable:
     exponent = _exponent(couplings)
-    exponents = {s: exponent(agree) for s, agree in spin_configs(g, q, cap)}
+    exponents = {s: exponent(agree) for s, agree in spin_configs(g, q)}
     counts, w = Counter(exponents.values()), Fraction(w)
     z = _weigh(counts, w)
     prob = {j: w**j / z for j in counts}
@@ -199,17 +191,17 @@ def _float_sums(terms, width: int):
     return top, z, acc
 
 
-def _potts_float_sums(g: Multigraph, params: PottsParams, pairs, cap: int):
+def _potts_float_sums(g: Multigraph, params: PottsParams, pairs):
     """``(top, z, hits)``: Z_P = e^top z and e^top hits[pair] its part where sigma_x = sigma_y."""
     beta, fields = params.beta, params.fields
     if fields is None:
-        counts, hits = _exponent_counts(g, params.q, params.couplings, pairs, cap)
+        counts, hits = _exponent_counts(g, params.q, params.couplings, pairs)
         terms = [(beta * j, c, [hit[j] for hit in hits.values()]) for j, c in counts.items()]
     else:
         exponent = _exponent(params.couplings)
         terms = (
             (beta * (exponent(agree) + sum(f[x] for f, x in zip(fields, s))), 1, [s[x] == s[y] for x, y in pairs])
-            for s, agree in spin_configs(g, params.q, cap)
+            for s, agree in spin_configs(g, params.q)
         )
     top, z, acc = _float_sums(terms, len(pairs))
     if not math.isfinite(top):  # every weight would be inf / inf
@@ -217,35 +209,33 @@ def _potts_float_sums(g: Multigraph, params: PottsParams, pairs, cap: int):
     return top, z, dict(zip(pairs, acc))
 
 
-def potts_partition(g: Multigraph, params: PottsParams, cap: int = DEFAULT_SPIN_CAP) -> float:
+def potts_partition(g: Multigraph, params: PottsParams) -> float:
     """Z_P for real beta, general couplings and external fields (floats)."""
-    top, z, _ = _potts_float_sums(g, params, (), cap)
+    top, z, _ = _potts_float_sums(g, params, ())
     z = math.exp(top) * z
     if not math.isfinite(z):
         raise OverflowError(f"Z_P overflows a float at beta = {params.beta}")
     return z
 
 
-def potts_two_point(g: Multigraph, params: PottsParams, x: int, y: int, cap: int = DEFAULT_SPIN_CAP) -> float:
+def potts_two_point(g: Multigraph, params: PottsParams, x: int, y: int) -> float:
     """tau(x,y) = pi(sigma_x = sigma_y) - 1/q, floating point."""
     _check_vertices(g, x, y)
-    _, z, hits = _potts_float_sums(g, params, [(x, y)], cap)
+    _, z, hits = _potts_float_sums(g, params, [(x, y)])
     return hits[x, y] / z - 1.0 / params.q
 
 
-def _potts_two_points_exact(g: Multigraph, q: int, w: Fraction, pairs, cap: int) -> dict:
+def _potts_two_points_exact(g: Multigraph, q: int, w: Fraction, pairs) -> dict:
     """tau(x,y) for each vertex pair in ``pairs``, in one spin pass."""
-    counts, hits = _exponent_counts(g, q, None, pairs, cap)
+    counts, hits = _exponent_counts(g, q, None, pairs)
     z = _weigh(counts, w)
     return {pair: _weigh(hit, w) / z - Fraction(1, q) for pair, hit in hits.items()}
 
 
-def potts_two_point_exact(
-    g: Multigraph, q: int, w: Fraction, x: int, y: int, cap: int = DEFAULT_SPIN_CAP
-) -> Fraction:
+def potts_two_point_exact(g: Multigraph, q: int, w: Fraction, x: int, y: int) -> Fraction:
     """tau(x,y) = pi(sigma_x = sigma_y) - 1/q with e^beta = w exact."""
     _check_vertices(g, x, y)
-    return _potts_two_points_exact(g, q, w, [(x, y)], cap)[x, y]
+    return _potts_two_points_exact(g, q, w, [(x, y)])[x, y]
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +246,9 @@ def verify_corr_conn(g: Multigraph, p: Fraction, q: int) -> dict:
     e^(-beta) = 1 - p so both sides are exact rationals."""
     w = 1 / (1 - Fraction(p))  # e^beta
     params = RCParams(Fraction(p), Fraction(q))
-    _check_cap(g.m, DEFAULT_ENUM_CAP)
     pairs = list(combinations(range(g.n), 2))  # x = y and the order of x, y change neither side
-    tau = _potts_two_points_exact(g, q, w, pairs, DEFAULT_SPIN_CAP)
     phi = _connection_probs(g, params, pairs)
+    tau = _potts_two_points_exact(g, q, w, pairs)
     max_dev = max(
         (abs(tau[pair] - (1 - Fraction(1, q)) * phi[pair]) for pair in pairs), default=Fraction(0)
     )
@@ -354,7 +343,7 @@ def zero_temperature_check(g: Multigraph, q: int, beta_schedule, rel_tol: float 
 
     chi = float(eval_poly(chromatic_poly(g), Fraction(q), Fraction(0)))
     params = PottsParams(beta=0.0, q=q, couplings=tuple([-1] * g.m))  # beta is set per sum below
-    counts = _exponent_counts(g, params.q, params.couplings, (), DEFAULT_SPIN_CAP)[0]  # one enumeration for every beta
+    counts = _exponent_counts(g, params.q, params.couplings, ())[0]  # one enumeration for every beta
     sums = [_float_sums(((b * j, c, ()) for j, c in counts.items()), 0) for b in beta_schedule]
     values = [math.exp(top) * z for top, z, _ in sums]
     gaps = [abs(v - chi) for v in values]

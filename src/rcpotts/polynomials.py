@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from .graphs import (
-    EnumerationCapExceeded,
     Multigraph,
     canonical_key,
     component_count,
@@ -23,15 +22,7 @@ from .graphs import (
     subset_size_components,
 )
 
-DEFAULT_ENUM_CAP = 24  # 2^24 subsets ~ 16M, the brute-force boundary
 DEFAULT_CACHE_SIZE = 1 << 20
-
-
-def _check_cap(m: int, cap: int):
-    if m > cap:
-        raise EnumerationCapExceeded(
-            f"graph has {m} edges, above the subset-enumeration cap of {cap}"
-        )
 
 
 class BivariatePolynomial:
@@ -140,10 +131,9 @@ def eval_poly(p: BivariatePolynomial, x, y):
     return p.evaluate(x, y)
 
 
-def rank_gen_poly(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> BivariatePolynomial:
+def rank_gen_poly(g: Multigraph) -> BivariatePolynomial:
     """Whitney rank-generating function W(u, v) = sum over edge subsets of
     u^rank * v^corank, by direct enumeration of all 2^|E| subsets."""
-    _check_cap(g.m, cap)
     return BivariatePolynomial(
         {(g.n - k, size - g.n + k): count
          for (size, k), count in subset_size_components(g).items()}
@@ -246,14 +236,14 @@ def _tutte_rec(g: Multigraph, cache: TutteCache) -> BivariatePolynomial:
     return result
 
 
-def tutte_from_rank_gen(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> BivariatePolynomial:
+def tutte_from_rank_gen(g: Multigraph) -> BivariatePolynomial:
     """Tutte polynomial through the rank-generating function: the subset
     enumeration route, independent of deletion-contraction.
 
     For a graph with k components T(x, y) = (x-1)^(|V|-k) W(1/(x-1), y-1);
     each W-term u^r v^c maps to (x-1)^(r(E)-r) (y-1)^c.
     """
-    w = rank_gen_poly(g, cap)
+    w = rank_gen_poly(g)
     r_full, _ = rank_corank(g, g.full_subset())
     x1 = BivariatePolynomial({(1, 0): 1, (0, 0): -1})  # x - 1
     y1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1})  # y - 1
@@ -263,7 +253,7 @@ def tutte_from_rank_gen(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> Bivariate
     return out
 
 
-def multivariate_tutte(g: Multigraph, q, weights, cap: int = DEFAULT_ENUM_CAP):
+def multivariate_tutte(g: Multigraph, q, weights):
     """Partition sum over edge subsets A of q^k(A) * prod of edge weights in A.
 
     Exact for int or ``Fraction`` q and weights, float otherwise.  A subset's
@@ -271,7 +261,6 @@ def multivariate_tutte(g: Multigraph, q, weights, cap: int = DEFAULT_ENUM_CAP):
     (m + 1) slots in the order of ``edge_subsets``; subsets holding a zero
     weight add nothing and are skipped.
     """
-    _check_cap(g.m, cap)
     weights = list(weights)
     if len(weights) != g.m:
         raise ValueError("need one weight per edge")
@@ -308,13 +297,13 @@ def chromatic_poly(g: Multigraph, cache: TutteCache | None = None) -> BivariateP
     return sign * (BivariatePolynomial.monomial(k_full, 0) * out)
 
 
-def flow_poly(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> BivariatePolynomial:
+def flow_poly(g: Multigraph) -> BivariatePolynomial:
     """Flow polynomial C(q) = (-1)^|E| W(-1, -q), univariate in q.
 
     Counts nowhere-zero mod-q flows; equals 1 for an edgeless graph and the
     zero polynomial whenever the graph has a bridge.
     """
-    w = rank_gen_poly(g, cap)
+    w = rank_gen_poly(g)
     sign_e = -1 if g.m % 2 else 1
     terms = {}
     for (r, c), coeff in w.terms.items():
@@ -329,5 +318,4 @@ def count_proper_colourings(g: Multigraph, q: int) -> int:
 
 def count_spanning_trees(g: Multigraph) -> int:
     """Spanning-tree count by subset enumeration (independent of T(1,1))."""
-    _check_cap(g.m, DEFAULT_ENUM_CAP)
     return subset_size_components(g)[(g.n - 1, 1)]

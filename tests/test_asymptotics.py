@@ -6,6 +6,7 @@ import pytest
 from rcpotts.asymptotics import (
     AsymptoticParams,
     _potts_z_complete,
+    _rc_z_complete,
     _root_residual,
     convergence_report,
     empirical_rate,
@@ -111,6 +112,24 @@ class TestEmpiricalRate:
         z = rc_partition(complete(n), RCParams(p, q))
         direct = (math.log(z.numerator) - math.log(z.denominator)) / n
         assert empirical_rate(n, lam, q) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(3, 2), F(2), F(3)])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cluster_recursion_matches_enumeration(self, n, q):
+        for p in (F(1, 2) / (n + 1), F(3, 2) / (n + 1)):
+            assert _rc_z_complete(n, p, q) == rc_partition(complete(n), RCParams(p, q))
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n", [8, 14, 30])
+    def test_cluster_recursion_matches_potts_route(self, n, q):
+        p = F(1, n)
+        potts = (1 - p) ** (n * (n - 1) // 2) * _potts_z_complete(n, q, 1 / (1 - p))
+        assert _rc_z_complete(n, p, F(q)) == potts
+
+    def test_real_q_beyond_enumeration(self):
+        # K8 has 2^28 edge subsets; the recursion needs none of them
+        assert empirical_rate(8, 1.0, 1.5) == pytest.approx(0.2596679069514334, rel=1e-15)
+        assert 0 < empirical_rate(60, 1.0, 1.5) < math.log(1.5)
 
     def test_n_must_exceed_lambda(self):
         with pytest.raises(ValueError):

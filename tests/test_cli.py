@@ -113,6 +113,12 @@ class TestKn:
         assert code == 0
         assert rep["eta"] == pytest.approx(math.log(2.0) - 0.25)
 
+    def test_kn_real_q_default_sizes(self, capsys):
+        # n = 8, 12 and 14 are past any edge-subset enumeration of K_n
+        code, rep = run_json(capsys, ["kn", "--q", "1.5", "--lambda", "1"])
+        assert code == 0 and rep["pass"]
+        assert [row["n"] for row in rep["rows"]] == [4, 8, 12, 14]
+
 
 class TestErrors:
     def test_missing_graph_file(self, capsys):
@@ -157,7 +163,7 @@ BAD_INPUTS = {
     "rc-partition-out-unwritable": ["rc-partition", "--graph", "{tri}", "--p", "1/2", "--q", "2",
                                     "--out", "{tmp}/no-such-dir/out.json"],
     "kn-n": ["kn", "--q", "2", "--lambda", "1", "--n", "abc"],
-    "kn-subset-cap": ["kn", "--q", "1.5", "--lambda", "1", "--n", "12"],
+    "flow-count-budget": ["flow-count", "--graph", "{tri}", "--q", "100000"],
     "verify-corrconn-p": ["verify", "corrconn", "--p", "1"],
     "verify-partition-q": ["verify", "partition", "--q", "3/2"],
     "rc-partition-p": ["rc-partition", "--graph", "{tri}", "--p", "3/2", "--q", "2"],

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcpotts.coupling import make_rng
+from rcpotts.coupling import JointConfig, joint_table, kernel_step_distribution, make_rng
 from rcpotts.families import random_multigraph
+from rcpotts.flows import count_flows
 from rcpotts.graphs import (
+    BUDGET,
     SUBSET_BLOCK_EDGES,
     SUBSET_CROSSOVER,
     EdgeSubsetError,
@@ -29,6 +31,7 @@ from rcpotts.graphs import (
     subset_counts,
     triangle,
 )
+from rcpotts.measures import MeasureTable, RCParams, rc_measure_table
 from rcpotts.polynomials import count_spanning_trees, rank_gen_poly
 from .conftest import agreement_oracle, bfs_component_count, bfs_reachable
 
@@ -171,7 +174,49 @@ class TestSpinConfigs:
     def test_cap(self):
         with pytest.raises(EnumerationCapExceeded):
             next(spin_configs(complete(16), 3))
-        assert len(list(spin_configs(triangle(), 3, cap=27))) == 27
+
+
+def _kernel_step(g: Multigraph, q: int):
+    """One exact kernel step from the point mass on all-zero spins, no bonds."""
+    point = MeasureTable(("joint", g.n, q, g.m), {JointConfig((0,) * g.n, 0): Fraction(1)})
+    return kernel_step_distribution(g, point, Fraction(1, 2), q)
+
+
+BUNDLE_25 = Multigraph(2, ((0, 1),) * 25)  # 2^25 edge subsets
+RC = RCParams(Fraction(1, 3), Fraction(2))
+
+# kernel: (budget kind, input size at, a call on an input of exactly that size,
+# a call on an input just above the default limit)
+BUDGET_CASES = {
+    "edge_subsets": ("subsets", 1 << 7, lambda: list(edge_subsets(cycle(7))),
+                     lambda: next(edge_subsets(BUNDLE_25))),
+    "subset_counts": ("subsets", 1 << 7, lambda: subset_counts(cycle(7), [(0, 3)]),
+                      lambda: subset_counts(BUNDLE_25)),
+    "spin_configs": ("spins", 27, lambda: list(spin_configs(triangle(), 3)),
+                     lambda: next(spin_configs(Multigraph(15), 3))),  # 3^15 > 10^7 > 3^14
+    "count_flows": ("flows", 8, lambda: count_flows(triangle(), 3),
+                    lambda: count_flows(Multigraph(2, ((0, 1),)), 10**8 + 2)),  # 10^8 + 1 values
+    "rc_measure_table": ("table", 8, lambda: rc_measure_table(triangle(), RC),
+                         lambda: rc_measure_table(Multigraph(2, ((0, 1),) * 21), RC)),
+    "joint_table": ("table", 64, lambda: joint_table(triangle(), Fraction(1, 2), 2),
+                    lambda: joint_table(path(11), Fraction(1, 2), 2)),  # 2^11 * 2^10
+    "kernel_step_distribution": ("table", 64, lambda: _kernel_step(triangle(), 2),
+                                 lambda: _kernel_step(path(11), 2)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(BUDGET_CASES))
+def test_budget(kernel, monkeypatch):
+    """Each kernel checks the budget before it enumerates or stores anything:
+    it raises just above the default limit, and runs exactly at a lowered one."""
+    kind, at, run_at, run_over = BUDGET_CASES[kernel]
+    with pytest.raises(EnumerationCapExceeded):
+        run_over()
+    monkeypatch.setitem(BUDGET, kind, at)
+    run_at()
+    monkeypatch.setitem(BUDGET, kind, at - 1)
+    with pytest.raises(EnumerationCapExceeded):
+        run_at()
 
 
 class TestRankCorank:

@@ -6,7 +6,7 @@ import pytest
 
 from rcpotts.coupling import make_rng
 from rcpotts.families import connected_multigraphs_upto, random_multigraph, simple_graphs
-from rcpotts.graphs import DEFAULT_SPIN_CAP, SUBSET_CROSSOVER, Multigraph, complete, cycle, triangle
+from rcpotts.graphs import EnumerationCapExceeded, SUBSET_CROSSOVER, Multigraph, complete, cycle, triangle
 from rcpotts.measures import (
     MeasureTable,
     PottsParams,
@@ -28,7 +28,7 @@ from rcpotts.measures import (
     verify_partition_identity,
     zero_temperature_check,
 )
-from rcpotts.polynomials import EnumerationCapExceeded, multivariate_tutte
+from rcpotts.polynomials import multivariate_tutte
 
 from .conftest import bfs_component_count, bfs_reachable
 
@@ -133,7 +133,7 @@ class TestConnectionAboveCrossover:
         pairs = list(combinations(range(n), 2))
         phi = _connection_oracle(g, p, F(q), pairs)
         assert _connection_probs(g, RCParams(p, F(q)), pairs) == phi
-        tau = _potts_two_points_exact(g, q, 1 / (1 - p), pairs, DEFAULT_SPIN_CAP)
+        tau = _potts_two_points_exact(g, q, 1 / (1 - p), pairs)
         assert all(tau[pair] == (1 - F(1, q)) * phi[pair] for pair in pairs)
         report = verify_corr_conn(g, p, q)
         assert report["pass"] and report["max_abs_deviation"] == "0"
@@ -155,11 +155,11 @@ class TestPotts:
 
     def test_two_point_honours_spin_cap(self):
         with pytest.raises(EnumerationCapExceeded):
-            potts_two_point(complete(16), PottsParams(beta=1.0, q=3), 0, 1, cap=1000)
+            potts_two_point(complete(16), PottsParams(beta=1.0, q=3), 0, 1)  # 3^16 spin states
 
     def test_two_point_exact_honours_spin_cap(self):
         with pytest.raises(EnumerationCapExceeded):
-            potts_two_point_exact(complete(16), 3, F(2), 0, 1, cap=1000)
+            potts_two_point_exact(complete(16), 3, F(2), 0, 1)
 
     def test_corr_conn_checks_spin_cap_before_enumerating(self):
         # 3^15 spin states, above the default cap; no edges, so the bond cap passes
@@ -243,7 +243,7 @@ class TestIdentities:
         def all_ordered_pairs(g):
             w = 1 / (1 - p)
             pairs = list(product(range(g.n), repeat=2))
-            tau = _potts_two_points_exact(g, q, w, pairs, DEFAULT_SPIN_CAP)
+            tau = _potts_two_points_exact(g, q, w, pairs)
             phi = _connection_probs(g, RCParams(p, F(q)), pairs)
             max_dev = max(
                 (abs(tau[pair] - (1 - F(1, q)) * phi[pair]) for pair in pairs), default=F(0)
