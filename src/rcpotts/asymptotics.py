@@ -113,9 +113,10 @@ def _potts_z_complete(n: int, q: int, w: Fraction) -> Fraction:
 
     A configuration with c_j vertices in state j has sum of C(c_j, 2)
     agreeing edges; summing multinomially over count vectors avoids the
-    q^n enumeration.
+    q^n enumeration; memoised on (remaining, slots), it takes O(n^2 q) steps.
     """
 
+    @lru_cache(maxsize=None)
     def rec(remaining: int, slots: int) -> Fraction:
         # sum over c = count in the current spin state
         if slots == 1:

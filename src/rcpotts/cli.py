@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-grid", default="1/4,1/2,3/4")
     p.add_argument("--q-grid", default="1,3/2,2")
     p.add_argument("--max-vertices", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("verify", help="run a verification suite")
     p.add_argument(

@@ -15,8 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from .graphs import Multigraph, UnionFind, check_budget, spin_configs
-from .measures import MeasureTable, _check_vertices, connected_in
+from .graphs import Multigraph, check_budget, open_clusters, spin_configs
+from .measures import MeasureTable, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,6 @@ def joint_table(g: Multigraph, p: Fraction, q: int) -> MeasureTable:
     return MeasureTable(
         ("joint", g.n, q, g.m), {cfg: w / z for cfg, w in weights.items()}
     )
-
-
-def open_clusters(g: Multigraph, bonds: int) -> list[int]:
-    """Cluster label per vertex under the open edges of ``bonds``."""
-    uf = UnionFind(g.n)
-    for i, (u, v) in enumerate(g.edges):
-        if bonds >> i & 1:
-            uf.union(u, v)
-    return [uf.find(x) for x in range(g.n)]
 
 
 def spins_given_bonds(g: Multigraph, bonds: int, q: int, rng: np.random.Generator) -> tuple:
@@ -154,8 +145,9 @@ def estimate_two_point(g: Multigraph, samples, x: int, y: int, q: int) -> dict:
     agree = []
     conn = []
     for cfg in samples:
+        labels = open_clusters(g, cfg.bonds)
         agree.append(1.0 if cfg.spins[x] == cfg.spins[y] else 0.0)
-        conn.append(1.0 if connected_in(g, cfg.bonds, x, y) else 0.0)
+        conn.append(1.0 if labels[x] == labels[y] else 0.0)
     if not agree:
         raise ValueError("empty sample stream")
     tau_mean, tau_se = batch_means(agree)

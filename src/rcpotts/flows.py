@@ -19,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .graphs import Multigraph, check_budget, subset_size_components
+from .graphs import Multigraph, check_budget, open_clusters, subset_size_components
 from .measures import RCParams, _check_vertices, _connection_probs, rc_partition
 from .coupling import make_rng
 from .polynomials import multivariate_tutte
@@ -260,27 +260,21 @@ def compflow_identity(
 
 def separating_sets(g: Multigraph, x: int, z: int, max_size: int = 4):
     """All vertex sets W (|W| <= max_size, x,z not in W) whose removal
-    disconnects x from z."""
+    disconnects x from z: the edges that touch no vertex of W leave x and z
+    in different open clusters."""
+    touching = [0] * g.n  # per vertex, the mask of its incident edges
+    for i, (u, v) in enumerate(g.edges):
+        touching[u] |= 1 << i
+        touching[v] |= 1 << i
     others = [v for v in range(g.n) if v not in (x, z)]
     found = []
     for size in range(1, min(max_size, len(others)) + 1):
         for w in combinations(others, size):
-            blocked = set(w)
-            seen = {x}
-            stack = [x]
-            reach = False
-            while stack and not reach:
-                u = stack.pop()
-                for i, (a, b) in enumerate(g.edges):
-                    if a == u or b == u:
-                        v2 = b if a == u else a
-                        if v2 == z:
-                            reach = True
-                            break
-                        if v2 not in seen and v2 not in blocked:
-                            seen.add(v2)
-                            stack.append(v2)
-            if not reach:
+            kept = g.full_subset()
+            for y in w:
+                kept &= ~touching[y]
+            labels = open_clusters(g, kept)
+            if labels[x] != labels[z]:
                 found.append(w)
     return found
 

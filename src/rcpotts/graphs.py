@@ -94,40 +94,27 @@ def to_json_dict(g: Multigraph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1; the root of ``x``'s set absorbs ``y``'s."""
+def open_clusters(g: Multigraph, a: int) -> list[int]:
+    """Cluster label per vertex under the open edges of the subset ``a``:
+    x and y are joined by A iff their labels agree.  Union-find over A's
+    edges in edge order, u's root absorbing v's; each label is a root."""
+    g.check_subset(a)
+    parent = list(range(g.n))
 
-    __slots__ = ("parent",)
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving keeps every root
+        return x
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
+    for i, (u, v) in enumerate(g.edges):
+        if a >> i & 1:
+            parent[find(v)] = find(u)
+    return [find(x) for x in range(g.n)]
 
 
 def component_count(g: Multigraph, a: int) -> int:
     """Number of connected components of (V, A), isolated vertices included."""
-    g.check_subset(a)
-    uf = UnionFind(g.n)
-    k = g.n
-    for i, (u, v) in enumerate(g.edges):
-        if a >> i & 1 and uf.union(u, v):
-            k -= 1
-    return k
+    return len(set(open_clusters(g, a)))
 
 
 def edge_subsets(g: Multigraph):
@@ -260,8 +247,7 @@ def subset_size_components(g: Multigraph) -> Counter:
 def rank_corank(g: Multigraph, a: int) -> tuple[int, int]:
     """Rank r(A) = |V| - k(A) and co-rank c(A) = |A| - |V| + k(A)."""
     k = component_count(g, a)
-    na = bin(a).count("1")
-    return g.n - k, na - g.n + k
+    return g.n - k, a.bit_count() - g.n + k
 
 
 def is_connected(g: Multigraph) -> bool:

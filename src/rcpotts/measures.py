@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import Multigraph, UnionFind, check_budget, edge_subsets, is_connected, spin_configs, subset_counts, subset_size_components
+from .graphs import Multigraph, check_budget, edge_subsets, is_connected, spin_configs, subset_counts, subset_size_components
 from .polynomials import TutteCache, eval_poly, tutte_poly
 
 
@@ -108,15 +108,6 @@ def rc_measure_table(g: Multigraph, params: RCParams) -> MeasureTable:
 def _check_vertices(g: Multigraph, *vertices: int) -> None:
     if not all(0 <= x < g.n for x in vertices):
         raise ValueError("vertex out of range")
-
-
-def connected_in(g: Multigraph, a: int, x: int, y: int) -> bool:
-    """True iff x and y lie in the same open cluster of the subset a."""
-    uf = UnionFind(g.n)
-    for i, (u, v) in enumerate(g.edges):
-        if a >> i & 1:
-            uf.union(u, v)
-    return uf.find(x) == uf.find(y)
 
 
 def _connection_probs(g: Multigraph, params: RCParams, pairs) -> dict:

@@ -17,6 +17,7 @@ from .graphs import (
     contract,
     delete,
     edge_subsets,
+    open_clusters,
     rank_corank,
     spin_configs,
     subset_size_components,
@@ -169,14 +170,6 @@ class TutteCache:
 _default_cache = TutteCache()
 
 
-def _is_bridge(g: Multigraph, e: int) -> bool:
-    u, v = g.edges[e]
-    if u == v:
-        return False
-    without = g.full_subset() & ~(1 << e)
-    return component_count(g, without) > component_count(g, g.full_subset())
-
-
 def tutte_poly(g: Multigraph, cache: TutteCache | None = None) -> BivariatePolynomial:
     """Tutte polynomial T(x, y) by deletion-contraction.
 
@@ -206,26 +199,22 @@ def _tutte_rec(g: Multigraph, cache: TutteCache) -> BivariatePolynomial:
     if cached is not None:
         return cached
 
-    # peel loops and bridges before branching
-    n_loops = 0
-    n_bridges = 0
-    work = g
-    while True:
-        loop_idx = next((i for i, (u, v) in enumerate(work.edges) if u == v), None)
-        if loop_idx is not None:
-            n_loops += 1
-            work = delete(work, loop_idx)
-            continue
-        bridge_idx = next(
-            (i for i in range(work.m) if _is_bridge(work, i)), None
-        )
-        if bridge_idx is not None:
-            n_bridges += 1
-            work = contract(work, bridge_idx)
-            continue
-        break
+    # Peel before branching: drop every loop, then contract every bridge of
+    # the loopless rest, highest index first so the lower indices stay put.
+    # In a loopless graph contracting a bridge makes no loop and leaves every
+    # other edge's bridge status alone, so one pass finds them all.
+    work = Multigraph(g.n, tuple((u, v) for u, v in g.edges if u != v))
+    n_loops = g.m - work.m
+    full = work.full_subset()
+    bridges = []
+    for i, (u, v) in enumerate(work.edges):
+        labels = open_clusters(work, full & ~(1 << i))
+        if labels[u] != labels[v]:
+            bridges.append(i)
+    for i in reversed(bridges):
+        work = contract(work, i)
 
-    factor = BivariatePolynomial.monomial(n_bridges, n_loops)
+    factor = BivariatePolynomial.monomial(len(bridges), n_loops)
     if work.m == 0:
         result = factor
     else:

@@ -119,8 +119,8 @@ class TestEmpiricalRate:
         for p in (F(1, 2) / (n + 1), F(3, 2) / (n + 1)):
             assert _rc_z_complete(n, p, q) == rc_partition(complete(n), RCParams(p, q))
 
-    @pytest.mark.parametrize("q", [2, 3])
-    @pytest.mark.parametrize("n", [8, 14, 30])
+    @pytest.mark.parametrize("q", [2, 3, 6, 8])
+    @pytest.mark.parametrize("n", [8, 14, 30, 40])
     def test_cluster_recursion_matches_potts_route(self, n, q):
         p = F(1, n)
         potts = (1 - p) ** (n * (n - 1) // 2) * _potts_z_complete(n, q, 1 / (1 - p))

@@ -124,6 +124,20 @@ class TestSampler:
         run2 = list(sw_sample(triangle(), 0.5, 2, cfg))
         assert run1 == run2
 
+    def test_seeded_stream_unchanged(self):
+        # With both bonds open, union-find gives the cluster {0, 2, 3} root 2
+        # and {1} root 1, so the sorted roots that receive the spin draws come
+        # in the other order than least-vertex labels would give them.
+        g = Multigraph(4, ((0, 3), (2, 3)))
+        cfg = SamplerConfig(seed=7, burn_in=0, samples=40)
+        stream = " ".join(f"{''.join(map(str, c.spins))}:{c.bonds}" for c in sw_sample(g, 0.5, 3, cfg))
+        assert stream == (
+            "0021:0 2022:0 1020:0 2201:0 0202:0 2122:0 2202:0 0222:0 2012:0 2020:0 "
+            "0022:0 2211:2 0000:0 0001:0 1211:0 0200:0 1111:0 1110:0 1221:0 0000:1 "
+            "2211:2 2100:2 0021:0 2200:0 0100:2 1222:0 2211:2 0100:2 0020:0 0010:1 "
+            "1201:1 2212:1 0221:0 2000:0 2022:2 0100:3 2012:0 1011:1 2022:3 0100:3"
+        )
+
     def test_samples_respect_coupling_event(self):
         cfg = SamplerConfig(seed=1, burn_in=5, samples=100)
         for jc in sw_sample(triangle(), 0.6, 3, cfg):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from rcpotts.flows import (
 from rcpotts.graphs import EnumerationCapExceeded, Multigraph, cycle, is_even, path, triangle
 from rcpotts.measures import RCParams, rc_connection_prob
 from rcpotts.polynomials import eval_poly, flow_poly
+
+from .conftest import bfs_reachable
 
 F = Fraction
 
@@ -231,6 +234,22 @@ class TestSimon:
 
     def test_separating_sets_triangle_empty(self):
         assert separating_sets(triangle(), 0, 2) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 9), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_separating_sets_match_bfs_oracle(self, n, m, max_size, seed):
+        # loops, parallel edges and isolated vertices all occur in these draws
+        rng = make_rng(seed)
+        g = random_multigraph(n, m, rng, loops=True)
+        x, z = (int(v) for v in rng.choice(n, size=2, replace=False))
+        others = [v for v in range(n) if v not in (x, z)]
+        want = []
+        for size in range(1, max_size + 1):
+            for w in combinations(others, size):
+                kept = sum(1 << i for i, e in enumerate(g.edges) if not set(e) & set(w))
+                if z not in bfs_reachable(g, kept, x):
+                    want.append(w)
+        assert separating_sets(g, x, z, max_size) == want
 
     def test_path_q2_holds(self):
         rep = simon_check(path(3), F(1, 2), F(2), 0, 2)

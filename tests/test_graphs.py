@@ -25,6 +25,7 @@ from rcpotts.graphs import (
     delete,
     edge_subsets,
     is_even,
+    open_clusters,
     path,
     rank_corank,
     spin_configs,
@@ -68,6 +69,10 @@ class TestComponentCount:
     def test_matches_bfs_oracle(self, ga):
         g, a = ga
         assert component_count(g, a) == bfs_component_count(g, a)
+        labels = open_clusters(g, a)
+        for x in range(g.n):
+            reach = bfs_reachable(g, a, x)
+            assert all((labels[x] == labels[y]) == (y in reach) for y in range(g.n))
 
 
 def _check_subset_kernel(g: Multigraph):
