@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
-from .graphs import Multigraph, check_budget, open_clusters, spin_configs
+from .graphs import CLUSTER_BATCH, Multigraph, check_budget, cluster_labels, open_clusters, spin_configs
 from .measures import MeasureTable, _check_vertices
 
 
@@ -79,17 +79,16 @@ def spins_given_bonds(g: Multigraph, bonds: int, q: int, rng: np.random.Generato
     """Uniform independent spin per open cluster, constant on clusters."""
     labels = open_clusters(g, bonds)
     roots = sorted(set(labels))
-    draw = {r: int(s) for r, s in zip(roots, rng.integers(0, q, size=len(roots)))}
-    return tuple(draw[l] for l in labels)
+    draw = dict(zip(roots, rng.integers(0, q, size=len(roots)).tolist()))
+    return tuple(map(draw.__getitem__, labels))
 
 
 def bonds_given_spins(g: Multigraph, spins, p: float, rng: np.random.Generator) -> int:
     """Close every disagreeing edge; open agreeing edges independently with
     probability p."""
     bonds = 0
-    unif = rng.random(g.m)
-    for i, (u, v) in enumerate(g.edges):
-        if spins[u] == spins[v] and unif[i] < p:
+    for i, ((u, v), r) in enumerate(zip(g.edges, rng.random(g.m).tolist())):
+        if r < p and spins[u] == spins[v]:
             bonds |= 1 << i
     return bonds
 
@@ -102,10 +101,11 @@ def sw_sample(g: Multigraph, p: float, q: int, cfg: SamplerConfig, stream: int =
     """
     if not (0 < p < 1):
         raise ValueError("p must lie in (0,1)")
-    if q < 2:
+    if not (2 <= q < math.inf and q == int(q)):
         raise ValueError("q must be an integer >= 2")
+    q = int(q)
     rng = make_rng(cfg.seed, stream)
-    spins = tuple(int(s) for s in rng.integers(0, q, size=g.n))
+    spins = tuple(rng.integers(0, q, size=g.n).tolist())
     bonds = 0
 
     def sweep(spins):
@@ -139,15 +139,17 @@ def estimate_two_point(g: Multigraph, samples, x: int, y: int, q: int) -> dict:
 
     Returns the correlation estimate tau_hat = mean(indicator(sigma_x =
     sigma_y)) - 1/q and the bond-connection estimate, each with a
-    batch-means standard error.
+    batch-means standard error.  The bond sets are labelled CLUSTER_BATCH
+    at a time by ``cluster_labels``.
     """
     _check_vertices(g, x, y)
     agree = []
     conn = []
-    for cfg in samples:
-        labels = open_clusters(g, cfg.bonds)
-        agree.append(1.0 if cfg.spins[x] == cfg.spins[y] else 0.0)
-        conn.append(1.0 if labels[x] == labels[y] else 0.0)
+    samples = iter(samples)
+    while batch := list(islice(samples, CLUSTER_BATCH)):
+        agree += [1.0 if cfg.spins[x] == cfg.spins[y] else 0.0 for cfg in batch]
+        labels = cluster_labels(g, [cfg.bonds for cfg in batch])
+        conn += (labels[x] == labels[y]).tolist()
     if not agree:
         raise ValueError("empty sample stream")
     tau_mean, tau_se = batch_means(agree)

@@ -97,7 +97,8 @@ def to_json_dict(g: Multigraph) -> dict:
 def open_clusters(g: Multigraph, a: int) -> list[int]:
     """Cluster label per vertex under the open edges of the subset ``a``:
     x and y are joined by A iff their labels agree.  Union-find over A's
-    edges in edge order, u's root absorbing v's; each label is a root."""
+    edges in edge order, u's root absorbing v's; each label is a root.
+    Only A's set bits are visited, lowest first."""
     g.check_subset(a)
     parent = list(range(g.n))
 
@@ -106,9 +107,12 @@ def open_clusters(g: Multigraph, a: int) -> list[int]:
             parent[x] = x = parent[parent[x]]  # path halving keeps every root
         return x
 
-    for i, (u, v) in enumerate(g.edges):
-        if a >> i & 1:
-            parent[find(v)] = find(u)
+    edges = g.edges
+    while a:
+        low = a & -a
+        u, v = edges[low.bit_length() - 1]
+        parent[find(v)] = find(u)
+        a ^= low
     return [find(x) for x in range(g.n)]
 
 
@@ -176,6 +180,43 @@ def spin_configs(g: Multigraph, q: int):
 SUBSET_CROSSOVER = 6  # edges from which numpy blocks beat the generator
 SUBSET_BLOCK_EDGES = 12  # a block holds the 2^12 subsets of the low edges
 SUBSET_BLOCK_LABELS = 1 << 18  # and at most this many labels (fewer edges when n > 64)
+CLUSTER_BATCH = 1 << 12  # subsets per call of cluster_labels from a stream
+
+
+def _merge(labels: np.ndarray, u: int, v: int) -> np.ndarray:
+    """Join the clusters of u and v in every column of ``labels`` (one row
+    per vertex), the larger label taking the smaller; True where they were
+    apart."""
+    lo, hi = np.minimum(labels[u], labels[v]), np.maximum(labels[u], labels[v])
+    np.copyto(labels, lo, where=labels == hi)
+    return lo != hi
+
+
+def cluster_labels(g: Multigraph, subsets) -> np.ndarray:
+    """Cluster labels of a batch of edge subsets as an (n, N) array: entry
+    [x, j] is the smallest vertex joined to x by the j-th subset, so x and y
+    are joined iff rows x and y agree in column j.
+
+    The subsets are unpacked to bits, and each edge merges its two clusters
+    in the subsets where it is open, in edge order.  Labels are stored one
+    row per subset, so the subsets open at an edge are gathered as whole
+    rows.  Memory is about 2 * m * N bytes of bits and n * N labels, so
+    stream callers pass at most CLUSTER_BATCH subsets at a time."""
+    subsets = list(subsets)
+    if subsets:
+        g.check_subset(min(subsets))
+        g.check_subset(max(subsets))
+    width = (g.m + 7) // 8
+    packed = np.frombuffer(b"".join(a.to_bytes(width, "little") for a in subsets), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(subsets), width), axis=1, count=g.m, bitorder="little")
+    labels = np.repeat(np.arange(g.n, dtype=np.min_scalar_type(g.n))[None, :], len(subsets), axis=0)
+    for (u, v), row in zip(g.edges, np.ascontiguousarray(bits.T).view(bool)):
+        if u != v:
+            cols = np.flatnonzero(row)
+            block = labels[cols]
+            _merge(block.T, u, v)
+            labels[cols] = block
+    return labels.T
 
 
 def subset_counts(g: Multigraph, pairs=()) -> tuple[Counter, dict]:
@@ -221,11 +262,8 @@ def subset_counts(g: Multigraph, pairs=()) -> tuple[Counter, dict]:
         labels[:, 0], keys[0] = high_labels, a.bit_count() * (n + 1) + k
         for t, (u, v) in enumerate(g.edges[:c]):
             s = 1 << t
-            old, new = labels[:, :s], labels[:, s : 2 * s]
-            lo, hi = np.minimum(old[u], old[v]), np.maximum(old[u], old[v])
-            new[...] = old
-            np.copyto(new, lo, where=new == hi)
-            np.subtract(keys[:s], lo != hi, out=keys[s : 2 * s])
+            labels[:, s : 2 * s] = labels[:, :s]
+            np.subtract(keys[:s], _merge(labels[:, s : 2 * s], u, v), out=keys[s : 2 * s])
             keys[s : 2 * s] += n + 1  # one edge more
         order += dict.fromkeys(keys[(total == 0)[keys]].tolist())
         total += np.bincount(keys, minlength=width)

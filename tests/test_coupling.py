@@ -16,7 +16,7 @@ from rcpotts.coupling import (
     spins_given_bonds,
     sw_sample,
 )
-from rcpotts.graphs import Multigraph, triangle
+from rcpotts.graphs import Multigraph, cycle, triangle
 from rcpotts.measures import (
     PottsParams,
     RCParams,
@@ -137,6 +137,26 @@ class TestSampler:
             "2211:2 2100:2 0021:0 2200:0 0100:2 1222:0 2211:2 0100:2 0020:0 0010:1 "
             "1201:1 2212:1 0221:0 2000:0 2022:2 0100:3 2012:0 1011:1 2022:3 0100:3"
         )
+        # a loop, a parallel pair and an isolated vertex, with burn-in and thinning
+        g = Multigraph(5, ((0, 1), (1, 1), (1, 2), (0, 1), (2, 3)))
+        cfg = SamplerConfig(seed=11, burn_in=3, samples=30, thinning=2)
+        stream = " ".join(f"{''.join(map(str, c.spins))}:{c.bonds}" for c in sw_sample(g, 0.6, 3, cfg))
+        assert stream == (
+            "10001:2 21110:22 20012:4 02012:0 00001:27 11111:30 11121:12 22022:9 22000:27 "
+            "22001:26 22112:25 11102:12 22220:17 22201:10 00210:8 11110:1 11111:28 01111:22 "
+            "02210:0 22002:2 11110:23 11020:9 22220:15 11112:27 22200:7 00112:1 00110:11 "
+            "00002:11 22212:5 02200:6"
+        )
+
+    def test_two_point_estimate_unchanged(self):
+        # 10,000 samples span several labelling batches; every float is pinned
+        g = cycle(12)
+        cfg = SamplerConfig(seed=5, burn_in=10, samples=10000)
+        est = estimate_two_point(g, sw_sample(g, 0.7, 3, cfg), 0, 3, 3)
+        assert repr(est) == (
+            "{'tau': 0.06096666666666667, 'tau_se': 0.006269682105136658, "
+            "'conn': 0.0845, 'conn_se': 0.004120455995154428, 'n': 10000}"
+        )
 
     def test_samples_respect_coupling_event(self):
         cfg = SamplerConfig(seed=1, burn_in=5, samples=100)
@@ -146,8 +166,9 @@ class TestSampler:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             list(sw_sample(triangle(), 1.5, 2, SamplerConfig()))
-        with pytest.raises(ValueError):
-            list(sw_sample(triangle(), 0.5, 1, SamplerConfig()))
+        for q in (1, 2.5, 2.9):
+            with pytest.raises(ValueError, match="q must be an integer >= 2"):
+                list(sw_sample(triangle(), 0.5, q, SamplerConfig()))
         with pytest.raises(ValueError):
             SamplerConfig(samples=0)
 
@@ -178,6 +199,25 @@ class TestSampler:
         for x in (7, -1):
             with pytest.raises(ValueError, match="vertex out of range"):
                 estimate_two_point(triangle(), sw_sample(triangle(), 0.5, 2, cfg), x, 1, 2)
+
+    def test_two_point_bad_vertex_leaves_stream_unread(self):
+        samples = iter(sw_sample(triangle(), 0.5, 2, SamplerConfig(burn_in=0, samples=10)))
+        with pytest.raises(ValueError, match="vertex out of range"):
+            estimate_two_point(triangle(), samples, 0, 3, 2)
+        assert len(list(samples)) == 10
+
+    def test_two_point_empty_stream(self):
+        for samples in ([], iter(())):
+            with pytest.raises(ValueError, match="empty sample stream"):
+                estimate_two_point(triangle(), samples, 0, 1, 2)
+
+    def test_two_point_list_and_generator_agree(self):
+        g = Multigraph(5, ((0, 1), (1, 1), (1, 2), (0, 1), (2, 3)))
+        samples = list(sw_sample(g, 0.55, 3, SamplerConfig(seed=4, burn_in=2, samples=9000)))
+        for x, y in [(0, 3), (1, 4), (2, 2)]:
+            listed = estimate_two_point(g, samples, x, y, 3)
+            streamed = estimate_two_point(g, (s for s in samples), x, y, 3)
+            assert repr(listed) == repr(streamed)
 
 
 class TestBatchMeans:

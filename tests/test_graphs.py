@@ -18,6 +18,7 @@ from rcpotts.graphs import (
     EnumerationCapExceeded,
     Multigraph,
     canonical_key,
+    cluster_labels,
     complete,
     component_count,
     contract,
@@ -153,6 +154,48 @@ class TestSubsetCounts:
     def test_rank_gen_at_one_one(self):
         for g in (petersen(), complete(6), random_multigraph(5, 13, make_rng(3))):
             assert sum(rank_gen_poly(g).terms.values()) == 2**g.m  # W(1,1) = 2^m
+
+
+def _check_cluster_labels(g: Multigraph, subsets):
+    """cluster_labels against BFS: each entry is the least vertex joined to
+    its row's vertex by its column's subset."""
+    labels = cluster_labels(g, subsets)
+    assert labels.shape == (g.n, len(subsets))
+    for j, a in enumerate(subsets):
+        want = [None] * g.n
+        for x in range(g.n):
+            if want[x] is None:
+                cluster = bfs_reachable(g, a, x)
+                for y in cluster:
+                    want[y] = x  # x is the least vertex of its cluster
+        assert labels[:, j].tolist() == want
+
+
+class TestClusterLabels:
+    @settings(max_examples=300, deadline=None)
+    @given(small_graph_and_subset(), st.lists(st.integers(0, (1 << 10) - 1), max_size=12))
+    def test_matches_bfs_oracle(self, ga, more):
+        g, a = ga
+        _check_cluster_labels(g, [a] + [b & g.full_subset() for b in more])
+
+    def test_wide_graphs(self):
+        # m > 64 takes several bytes per subset; n >= 256 needs 16-bit labels
+        for n, m in [(5, 70), (12, 130), (256, 90), (300, 250)]:
+            rng = make_rng(n + m)
+            g = random_multigraph(n, m, rng, loops=True)  # loops, parallel edges, isolated vertices
+            draws = [int.from_bytes(rng.bytes(m // 8 + 1), "little") for _ in range(40)]
+            subsets = [0, g.full_subset()] + [a & b & g.full_subset() for a, b in zip(draws[::2], draws[1::2])]
+            _check_cluster_labels(g, subsets)
+        assert cluster_labels(Multigraph(300), [0]).dtype.itemsize == 2
+
+    def test_empty_batch_and_no_edges(self):
+        assert cluster_labels(triangle(), []).shape == (3, 0)
+        assert cluster_labels(Multigraph(3), [0, 0]).tolist() == [[0, 0], [1, 1], [2, 2]]
+
+    def test_subset_too_wide_rejected(self):
+        for bad in ([0b1000], [1, -1]):
+            with pytest.raises(EdgeSubsetError):
+                cluster_labels(triangle(), bad)
 
 
 def _check_spin_kernel(g: Multigraph, q: int):
