@@ -84,7 +84,6 @@ from .association import (
     ust_feder_mihail_check,
 )
 from .asymptotics import (
-    AsymptoticParams,
     convergence_report,
     empirical_rate,
     eta,

@@ -9,22 +9,10 @@ anyway but flagged as outside that regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 ROOT_GRID = 10**4
-
-
-@dataclass(frozen=True)
-class AsymptoticParams:
-    q: float
-    lam: float
-    root_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.q <= 0 or self.lam <= 0:
-            raise ValueError("q and lambda must be positive")
 
 
 def lambda_c(q: float) -> float:

@@ -52,18 +52,8 @@ def simple_graphs(max_nodes: int, max_edges: int | None = None, connected: bool 
 def graphs_with_few_edges(max_edges: int, connected: bool | None = None):
     """Simple graphs (up to iso) with at most ``max_edges`` edges; a graph
     with m edges touches at most 2m vertices, and the atlas suffices for
-    m <= 6 when isolated vertices are dropped."""
-    out = []
-    for g in _atlas():
-        if g.number_of_nodes() == 0 or g.number_of_edges() > max_edges:
-            continue
-        if any(d == 0 for _, d in g.degree()) and g.number_of_nodes() > 1:
-            continue  # skip isolated-vertex padding; same graph appears smaller
-        mg = _from_nx(g)
-        if connected is not None and is_connected(mg) != connected:
-            continue
-        out.append(mg)
-    return out
+    m <= 6 when isolated vertices are dropped (the same graph appears smaller)."""
+    return [g for g in simple_graphs(7, max_edges, connected) if g.n == 1 or all(g.degrees())]
 
 
 def _pair_types(n: int, loops: bool) -> list[tuple[int, int]]:

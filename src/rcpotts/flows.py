@@ -22,7 +22,7 @@ import numpy as np
 from .graphs import Multigraph, check_budget, open_clusters, subset_size_components
 from .measures import RCParams, _check_vertices, _connection_probs, rc_partition
 from .coupling import make_rng
-from .polynomials import multivariate_tutte
+from .polynomials import eval_terms, multivariate_tutte
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,8 @@ def compflow_identity(
     a0 = sum(w * (-1) ** m for m, w in enumerate(pmf))
     truncated_full = sum(w * (q - 1) ** m for m, w in enumerate(pmf))
     a1 = truncated_full - a0
-    expect = sum(
-        c * q**k * a1**size * a0 ** (g.m - size)
-        for (size, k), c in subset_size_components(g).items()
-    ) / q**g.n
+    counts = subset_size_components(g)
+    expect = eval_terms({(k, a, g.m - a): c for (a, k), c in counts.items()}, q, a1, a0) / q**g.n
     # tail bound: union over edges exceeding m_max
     per_edge_full = math.exp(lam * (q - 2))  # E[(q-1)^M]
     tail_one = per_edge_full - truncated_full

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .graphs import Multigraph, check_budget, edge_subsets, is_connected, spin_configs, subset_counts, subset_size_components
-from .polynomials import TutteCache, eval_poly, tutte_poly
+from .polynomials import TutteCache, eval_poly, eval_terms, tutte_poly
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,11 @@ class MeasureTable:
             )
         return sum((self.probs.get(cfg, Fraction(0)) for cfg in set(event)), Fraction(0))
 
-    def expectation(self, f):
-        return sum(f(cfg) * p for cfg, p in self.probs.items())
-
 
 def _rc_sum(g: Multigraph, params: RCParams, counts) -> Fraction:
     """Total random-cluster weight p^|A| (1-p)^(|E|-|A|) q^k(A) of the edge
     subsets A counted per key (|A|, k(A)) in ``counts``."""
-    p, q = params.p, params.q
-    return sum(c * p**size * (1 - p) ** (g.m - size) * q**k for (size, k), c in counts.items())
+    return eval_terms({(a, g.m - a, k): c for (a, k), c in counts.items()}, params.p, 1 - params.p, params.q)
 
 
 def rc_partition(g: Multigraph, params: RCParams) -> Fraction:
@@ -152,7 +148,7 @@ def _exponent_counts(g: Multigraph, q: int, couplings, pairs):
 
 
 def _weigh(counts, w: Fraction) -> Fraction:
-    return sum(c * w**j for j, c in counts.items())
+    return eval_terms({(j,): c for j, c in counts.items()}, w)
 
 
 def potts_partition_exact(g: Multigraph, q: int, w: Fraction, couplings=None) -> Fraction:

@@ -9,6 +9,10 @@ All coefficients are exact big integers; evaluation takes exact rationals
 from __future__ import annotations
 
 from collections import OrderedDict
+from fractions import Fraction
+from functools import reduce
+from math import prod
+from operator import getitem
 
 from .graphs import (
     Multigraph,
@@ -100,10 +104,7 @@ class BivariatePolynomial:
         return out
 
     def evaluate(self, x, y):
-        total = 0
-        for (i, j), c in self.terms.items():
-            total += c * x**i * y**j
-        return total
+        return eval_terms(self.terms, x, y)
 
     def __repr__(self):
         if not self.terms:
@@ -127,8 +128,31 @@ class BivariatePolynomial:
         return cls({(t["i"], t["j"]): int(t["c"]) for t in d["terms"]})
 
 
+def eval_terms(terms, *xs):
+    """Sum of c * x1**e1 * x2**e2 * ... over ``terms``, a map from exponent
+    tuples to integer coefficients: the one evaluation kernel.
+
+    Ints and Fractions x = a/b take one table of a^(e-lo) * b^(hi-e) per
+    variable (lo <= 0 <= hi), one integer sum over the common denominator and
+    one Fraction at the end: an int if every x is an int and no exponent is
+    negative.  Other inputs (floats) multiply left to right, term by term.
+    """
+    if not all(isinstance(x, (int, Fraction)) for x in xs):
+        return sum(reduce(lambda t, xe: t * xe[0] ** xe[1], zip(xs, es), c) for es, c in terms.items())
+    tables, den, whole = [], 1, True
+    for t, x in enumerate(xs):
+        exps = {0}.union(es[t] for es in terms)
+        lo, hi, a, b = min(exps), max(exps), x.numerator, x.denominator
+        tables.append({e: a ** (e - lo) * b ** (hi - e) for e in exps})
+        den *= a**-lo * b**hi
+        whole = whole and lo == 0 and not isinstance(x, Fraction)
+    total = sum(c * prod(map(getitem, tables, es)) for es, c in terms.items())
+    return total if whole or not terms else Fraction(total, den)
+
+
 def eval_poly(p: BivariatePolynomial, x, y):
-    """Exact evaluation; pass Fractions for exact results."""
+    """Evaluate ``p`` through ``eval_terms``: Fraction (or int) inputs are the
+    exact path and give an exact result, float inputs a float."""
     return p.evaluate(x, y)
 
 

@@ -260,11 +260,15 @@ class TestQToZero:
         # TV along p = sqrt(q) decreases monotonically, but only at rate
         # sqrt(q): it is (4/3)*sqrt(q) + O(q) on the triangle, so it cannot
         # reach the default 1e-3 target by q = 1e-6.  No p can: the floor
-        # over all p is 2*sqrt(q/3) ~ 1.15e-3, near p = sqrt(3q).
+        # over all p is 2*sqrt(q/3) ~ 1.15e-3, near p = sqrt(3q).  So the
+        # regime is gated at its rate, final TV <= (4/3)*sqrt(q_final).
         rep = q_to_zero_limit_check(triangle(), "ust")
-        assert rep["monotone"]
+        assert rep["monotone"] and rep["pass"]
         assert rep["tv"][-1] < rep["tv"][0]
-        assert not rep["pass"]  # final TV ~ 1.33e-3 sits above 1e-3
+        assert 1e-3 < rep["tv"][-1] <= 4 / 3 * 1e-3  # final TV ~ 1.33e-3
+        assert q_to_zero_limit_check(triangle(), "ust", final_tv=F(1, 10**9))["pass"]
+        rising = q_to_zero_limit_check(triangle(), "ust", [F(1, 10**6), F(1, 10**2)])
+        assert not rising["monotone"] and not rising["pass"]
 
     def test_schedule_rationality(self):
         for p, q in regime_schedule("ust"):

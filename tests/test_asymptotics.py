@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from rcpotts.asymptotics import (
-    AsymptoticParams,
     _potts_z_complete,
     _rc_z_complete,
     _root_residual,
@@ -64,8 +63,6 @@ class TestTheta:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             theta(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            AsymptoticParams(q=0.0, lam=1.0)
 
 
 class TestEta:

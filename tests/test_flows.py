@@ -226,6 +226,16 @@ class TestCompflow:
         rep = compflow_identity(cycle(4), 0.5, 3, m_max=20)
         assert rep["deviation"] <= rep["tail_bound"] + 1e-9 * abs(rep["z_rc"])
 
+    def test_golden_report(self):
+        # float sums add their terms in subset_counts' key order and multiply
+        # each left to right; reordering either changes rhs in its last bits
+        g = Multigraph(3, ((0, 1), (1, 2), (0, 2), (0, 1), (2, 2)))
+        assert repr(compflow_identity(g, 0.7, 3, m_max=6)) == (
+            "{'identity': 'compflow', 'lambda': 0.4013242681086453, 'z_rc': 3.9126000000000003, "
+            "'rhs': 3.9122342444102136, 'deviation': 0.0003657555897866871, "
+            "'tail_bound': 0.002859822900669619, 'pass': True, 'instances': 1}"
+        )
+
 
 class TestSimon:
     def test_separating_sets_path(self):

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcpotts.families import connected_multigraphs_upto, graphs_with_few_edges
 from rcpotts.graphs import EnumerationCapExceeded, Multigraph, complete, cycle, path, triangle
@@ -11,6 +14,7 @@ from rcpotts.polynomials import (
     count_proper_colourings,
     count_spanning_trees,
     eval_poly,
+    eval_terms,
     flow_poly,
     multivariate_tutte,
     rank_gen_poly,
@@ -169,3 +173,65 @@ class TestEvalAndSerialization:
     def test_json_uses_decimal_strings(self):
         d = (ONE + X).to_json_dict()
         assert all(isinstance(term["c"], str) for term in d["terms"])
+
+
+def _exact_bases(k):
+    base = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=9))
+    return st.lists(base, min_size=k, max_size=k)
+
+
+def _terms(k):
+    return st.dictionaries(st.tuples(*[st.integers(-4, 7)] * k), st.integers(-40, 40), max_size=9)
+
+
+class TestEvalTerms:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_naive_fraction_sum(self, data):
+        k = data.draw(st.integers(1, 3))
+        xs, terms = data.draw(_exact_bases(k)), data.draw(_terms(k))
+        try:
+            want = Fraction(0)
+            for es, c in terms.items():
+                for x, e in zip(xs, es):
+                    c = c * Fraction(x) ** e
+                want += c
+        except ZeroDivisionError:  # a zero base under a negative exponent
+            with pytest.raises(ZeroDivisionError):
+                eval_terms(terms, *xs)
+            return
+        got = eval_terms(terms, *xs)
+        assert got == want
+        whole = all(isinstance(x, int) for x in xs) and all(e >= 0 for es in terms for e in es)
+        assert type(got) is (int if whole or not terms else Fraction)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_int_inputs_give_an_int(self, data):
+        k = data.draw(st.integers(1, 3))
+        xs = data.draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k))
+        terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 7)] * k), st.integers(-40, 40)))
+        got = eval_terms(terms, *xs)
+        assert type(got) is int
+        assert got == sum(c * math.prod(x**e for x, e in zip(xs, es)) for es, c in terms.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_float_inputs_keep_the_left_to_right_product(self, data):
+        k = data.draw(st.integers(1, 3))
+        base = st.floats(-3, 3).filter(lambda x: abs(x) >= 1e-3)  # no overflow at exponent -4
+        xs = data.draw(st.lists(st.one_of(base, st.integers(-3, 3).filter(bool)), min_size=k, max_size=k))
+        xs[0] = float(xs[0])  # one float sends every term down the float path
+        terms = data.draw(_terms(k))
+        want = 0
+        for es, c in terms.items():
+            for x, e in zip(xs, es):
+                c = c * x**e
+            want += c
+        got = eval_terms(terms, *xs)
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+    def test_empty_terms(self):
+        for xs in [(F(1, 2),), (0, F(-3)), (F(0), F(0), F(0)), (0.5, 2)]:
+            got = eval_terms({}, *xs)
+            assert got == 0 and type(got) is int
