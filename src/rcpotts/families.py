@@ -5,14 +5,19 @@ isomorphism class, up to 7 vertices).  Multigraph families are edge
 multisets over endpoint-pair types, generated orderly (Read; Faradzev): one
 edge at a time, extending only canonical multisets, so each
 vertex-permutation class appears exactly once, as its lexicographically least
-member.
+member.  Canonicity is tested per level in numpy batches, against a table of
+each pair type's image under every vertex permutation.
 """
 
 from __future__ import annotations
 
-from itertools import islice, permutations
+from itertools import permutations
 
-from .graphs import Multigraph, is_connected
+import numpy as np
+
+from .graphs import Multigraph, cluster_labels, is_connected
+
+_CANON_BATCH = 1 << 16  # image entries per canonicity batch: P permutations x N candidates x k edges
 
 _ATLAS = None
 
@@ -63,6 +68,53 @@ def _pair_types(n: int, loops: bool) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
+def _permutation_images(n: int, pairs) -> np.ndarray:
+    """(n! - 1, len(pairs)) array: row r holds the image of every pair index
+    under the r-th non-identity vertex permutation."""
+    code = np.zeros((n, n), np.min_scalar_type(len(pairs)))
+    u, v = np.array(pairs, np.intp).reshape(-1, 2).T
+    code[u, v] = code[v, u] = np.arange(len(pairs))
+    perms = np.array(list(permutations(range(n))), np.intp)[1:]
+    return code[perms[:, u], perms[:, v]]
+
+
+def _children(level: np.ndarray, count: int) -> np.ndarray:
+    """Every extension of each row of ``level`` by one index at or above its
+    last (0 for the empty row) and below ``count``: each parent in turn, the
+    new index ascending."""
+    start = level[:, -1].astype(np.intp) if level.shape[1] else np.zeros(len(level), np.intp)
+    reps = count - start
+    rows = np.repeat(np.arange(len(level)), reps)
+    new = np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps - start, reps)
+    return np.concatenate([level[rows], new[:, None].astype(level.dtype)], axis=1)
+
+
+def _canonical(cand: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """True for each row of ``cand`` that no permutation maps to a
+    lexicographically smaller sorted row.  Rows go in batches of at most
+    _CANON_BATCH image entries."""
+    keep = np.ones(len(cand), bool)
+    step = max(1, _CANON_BATCH // max(1, len(images) * cand.shape[1]))
+    for lo in range(0, len(cand), step):
+        c = cand[lo : lo + step]
+        img = np.sort(images[:, c], axis=-1)
+        smaller, tied = np.zeros(img.shape[:2], bool), np.ones(img.shape[:2], bool)
+        for col, least in zip(np.moveaxis(img, -1, 0), c.T):
+            smaller |= tied & (col < least)
+            tied &= col == least
+        keep[lo : lo + step] = ~smaller.any(axis=0)
+    return keep
+
+
+def _connected(n: int, pairs, rows: np.ndarray) -> np.ndarray:
+    """True for each row, read as a multiset of pair indices, whose graph on
+    n vertices is connected.  Parallel edges do not change connectivity, so
+    each row is read as the set of its pair types: a subset of the edges of
+    the graph with one edge per pair type."""
+    masks = [sum({1 << i for i in row}) for row in rows.tolist()]
+    return (cluster_labels(Multigraph(n, tuple(pairs)), masks) == 0).all(axis=0)
+
+
 def multigraphs(
     n_vertices: int,
     max_edges: int,
@@ -73,30 +125,21 @@ def multigraphs(
     """Multigraphs on exactly ``n_vertices`` with ``min_edges..max_edges``
     edges, one per vertex-permutation class: the one whose sorted tuple of
     pair-type indices is lexicographically least.  Level k holds these tuples
-    in order; each is extended only by indices at or above its last, as a
-    prefix of a canonical tuple is canonical."""
+    in order, as the rows of one array; each is extended only by indices at or
+    above its last, as a prefix of a canonical tuple is canonical.  Each level
+    is tested for canonicity in numpy batches against a table of every pair
+    type's image under each non-identity permutation."""
     pairs = _pair_types(n_vertices, loops)
-    index = {pair: i for i, pair in enumerate(pairs)}
-    images = [  # the image of every pair index under each non-identity permutation
-        [index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in pairs]
-        for perm in islice(permutations(range(n_vertices)), 1, None)
-    ]
-
-    def canonical(c):
-        least = list(c)
-        return all(sorted(map(pm.__getitem__, c)) >= least for pm in images)
-
-    out, level = [], [()]
+    images = _permutation_images(n_vertices, pairs)
+    out, level = [], np.zeros((1, 0), images.dtype)
     for k in range(max_edges + 1):
         if k >= min_edges:
-            for c in level:
-                g = Multigraph(n_vertices, tuple(pairs[i] for i in c))
-                if connected is None or is_connected(g) == connected:
-                    out.append(g)
-        level = [
-            c for parent in level for j in range(parent[-1] if parent else 0, len(pairs))
-            if canonical(c := parent + (j,))
-        ] if k < max_edges else []
+            keep = level if connected is None else level[_connected(n_vertices, pairs, level) == connected]
+            out.extend(Multigraph(n_vertices, tuple(map(pairs.__getitem__, c))) for c in keep.tolist())
+        if k == max_edges:
+            break
+        cand = _children(level, len(pairs))
+        level = cand[_canonical(cand, images)]
     return out
 
 

@@ -215,6 +215,7 @@ def potts_two_point(g: Multigraph, params: PottsParams, x: int, y: int) -> float
 def _potts_two_points_exact(g: Multigraph, q: int, w: Fraction, pairs) -> dict:
     """tau(x,y) for each vertex pair in ``pairs``, in one spin pass."""
     counts, hits = _exponent_counts(g, q, None, pairs)
+    w = Fraction(w)
     z = _weigh(counts, w)
     return {pair: _weigh(hit, w) / z - Fraction(1, q) for pair, hit in hits.items()}
 

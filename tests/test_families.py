@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -17,6 +18,32 @@ def test_multigraphs_match_brute_force(n, loops):
             for connected in (None, True, False):
                 args = (n, max_edges, min_edges, loops, connected)
                 assert multigraphs(*args) == brute_force_multigraphs(*args), args
+
+
+@pytest.mark.parametrize("loops", [True, False])
+@pytest.mark.parametrize("n, max_edges", [(6, 4), (7, 3)])
+def test_multigraphs_match_brute_force_past_five(n, max_edges, loops):
+    """Permutation tables of 719 and 5,039 rows over 15 to 28 pair types,
+    which no 5-vertex family reaches.  With min_edges = 0 one call holds
+    every level up to max_edges; the other caps are tested above."""
+    for connected in (None, True, False):
+        args = (n, max_edges, 0, loops, connected)
+        assert multigraphs(*args) == brute_force_multigraphs(*args), args
+
+
+@pytest.mark.parametrize(
+    "family, digest",
+    [
+        (lambda: connected_multigraphs_upto(5, 8), "2eb5e55399c7b650774201b8a721ffc255af55e780d3bcc33f2db3f5529731d6"),
+        (lambda: connected_multigraphs_upto(5, 6, loops=False), "574f30fe1f7bd9f00ed042c4106192ba0bc43c5187f6e3e83ef22d0efb317dac"),
+        (lambda: multigraphs(5, 6, min_edges=0, connected=False), "204238db79f6e79061c611d9fef79f30e921dbc74932dee8f13b7cf65879217a"),
+    ],
+    ids=["connected-5-8", "connected-5-6-loopless", "disconnected-5-6"],
+)
+def test_family_output_pinned(family, digest):
+    """The graphs and their order, which decides the witness a report shows
+    first, are pinned by the SHA-256 of their reprs."""
+    assert hashlib.sha256(repr(family()).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

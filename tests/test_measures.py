@@ -205,6 +205,10 @@ class TestPotts:
     def test_two_point_single_edge_exact(self):
         assert potts_two_point_exact(EDGE, 2, F(2), 0, 1) == F(1, 6)
 
+    def test_two_point_exact_int_weight_stays_exact(self):
+        tau = potts_two_point_exact(triangle(), 2, 3, 0, 1)
+        assert tau == F(1, 3) and type(tau) is F
+
     def test_external_field_biases_spins(self):
         fields = ((2.0, 0.0), (2.0, 0.0))
         z_biased = potts_partition(EDGE, PottsParams(beta=1.0, q=2, fields=fields))
