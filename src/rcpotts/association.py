@@ -8,21 +8,29 @@ event mask is set).  A measure is read as integer weights over the least
 common denominator d of its probabilities, and P(A and B) <= P(A) P(B) is
 tested in integers as d W(A and B) <= W(A) W(B), so every check is exact
 and a reported violation is a genuine witness, never float noise.
+
+Every event-pair question is answered in numpy blocks of at most
+``_PAIR_BLOCK`` pairs, scanned in a fixed pair order, so the first witness
+and every seeded draw are those of a pair-by-pair scan.  Each mass is at
+most d, so the weights are ``int64`` while d < 2^31 (every product of two
+masses then stays below 2^62) and Python ints in an object array beyond.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache
 from itertools import combinations
 from math import lcm
-from operator import and_, or_
+
+import numpy as np
 
 from .graphs import Multigraph, edge_subsets, is_connected, subset_size_components
 from .measures import MeasureTable, RCParams, rc_measure_table
 from .coupling import make_rng
 
 UPSET_EDGE_CAP = 5  # Dedekind numbers blow up past the 5-cube (7581 up-sets)
+_PAIR_BLOCK = 1 << 11  # event pairs per numpy block: bounds memory, keeps the early exit
 
 
 def _check_event_cap(m: int):
@@ -49,28 +57,59 @@ def enumerate_increasing_events(m: int) -> list[int]:
     return events
 
 
-def _weights(table: MeasureTable) -> tuple[list[int], int]:
+@cache
+def _upsets(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The up-sets of the m-cube as an array of event masks in enumeration
+    order, and their 0/1 indicator matrix over the configurations (both
+    read-only)."""
+    events = np.array(enumerate_increasing_events(m), dtype=np.int64)
+    indicators = events[:, None] >> np.arange(1 << m) & 1
+    events.flags.writeable = indicators.flags.writeable = False
+    return events, indicators
+
+
+def _weights(table: MeasureTable) -> tuple[np.ndarray, int]:
     """The measure as integer weights w over a common denominator d: the
-    probability of configuration a is w[a] / d."""
+    probability of configuration a is w[a] / d.  ``int64`` while d < 2^31,
+    so that d times a mass never overflows; Python ints beyond."""
     if table.space[0] != "bond":
         raise ValueError("expected a bond-space measure")
     d = lcm(*(x.denominator for x in table.probs.values()))
-    w = [0] * (1 << table.space[1])
+    w = np.zeros(1 << table.space[1], dtype=np.int64 if d.bit_length() <= 31 else object)
     for a, x in table.probs.items():
         w[a] = x.numerator * d // x.denominator
     return w, d
 
 
-def _mass(w: list[int]):
-    """Event mask -> summed weight of its configurations, read eight
-    configurations at a time from subset-sum tables."""
-    tables = []
-    for j in range(0, len(w), 8):
-        sums = [0]
-        for x in w[j:j + 8]:
-            sums += [s + x for s in sums]
-        tables.append(sums)
-    return lambda event: sum(sums[event >> 8 * j & 255] for j, sums in enumerate(tables))
+def _mass_tables(w: np.ndarray) -> np.ndarray:
+    """Subset-sum tables, one per eight configurations: row j, column v holds
+    the summed weight of the configurations 8j + t over the bits t of v."""
+    padded = np.concatenate([w, np.zeros(-len(w) % 8, dtype=w.dtype)])
+    return padded.reshape(-1, 8) @ (np.arange(256) >> np.arange(8)[:, None] & 1)
+
+
+def _masses(tables: np.ndarray, events: np.ndarray) -> np.ndarray:
+    """The summed weight of each event of an array of event masks."""
+    return sum(row[events >> 8 * j & 255] for j, row in enumerate(tables))
+
+
+def _triangle_blocks(n: int):
+    """The index pairs i <= j < n in row-major order, as arrays of at most
+    ``_PAIR_BLOCK`` pairs; a flat pair index finds its row among the row
+    offsets i n - i (i - 1) / 2."""
+    rows = np.arange(n)
+    offsets = rows * (2 * n - rows + 1) // 2
+    total = n * (n + 1) // 2
+    for start in range(0, total, _PAIR_BLOCK):
+        flat = np.arange(start, min(start + _PAIR_BLOCK, total))
+        i = np.searchsorted(offsets, flat, side="right") - 1
+        yield i, i + flat - offsets[i]
+
+
+def _first(bad: np.ndarray):
+    """The index of the first True entry, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if len(hits) else None
 
 
 def stochastic_dominance(mu1: MeasureTable, mu2: MeasureTable):
@@ -80,13 +119,12 @@ def stochastic_dominance(mu1: MeasureTable, mu2: MeasureTable):
     """
     if mu1.space != mu2.space:
         raise ValueError("measures live on different spaces")
-    m = mu1.space[1]
     (w1, d1), (w2, d2) = _weights(mu1), _weights(mu2)
-    mass1, mass2 = _mass(w1), _mass(w2)
-    for event in enumerate_increasing_events(m):
-        if mass1(event) * d2 > mass2(event) * d1:
-            return False, event
-    return True, None
+    if w1.dtype != w2.dtype:
+        w1, w2 = w1.astype(object), w2.astype(object)
+    events, _ = _upsets(mu1.space[1])
+    k = _first(_masses(_mass_tables(w1), events) * d2 > _masses(_mass_tables(w2), events) * d1)
+    return (True, None) if k is None else (False, int(events[k]))
 
 
 def comparison_check(g: Multigraph, p, q, p2, q2) -> dict:
@@ -122,21 +160,24 @@ def fkg_check(g: Multigraph, p, q, n_function_pairs: int = 100, seed: int = 0) -
     """
     p, q = Fraction(p), Fraction(q)
     w, d = _weights(rc_measure_table(g, RCParams(p, q)))
-    events = enumerate_increasing_events(g.m)
-    weight = dict(zip(events, map(_mass(w), events)))  # closed under A and B
+    events, _ = _upsets(g.m)
+    tables = _mass_tables(w)
+    masses = _masses(tables, events)
     violations = []
-    for i, a in enumerate(events):
-        wa = weight[a]
-        for b in events[i:]:
-            if d * weight[a & b] < wa * weight[b]:
-                violations.append({"A": a, "B": b})
+    for i, j in _triangle_blocks(len(events)):
+        hits = np.flatnonzero(d * _masses(tables, events[i] & events[j]) < masses[i] * masses[j])
+        violations += [{"A": int(events[i[k]]), "B": int(events[j[k]])} for k in hits]
+        if len(violations) >= 10:
+            break
     # random increasing functions f = sum c 1_A: E f = sum c W(A) / d and
     # E fh = sum c c' W(A and B) / d, so the weights above serve every pair
+    ups = events.tolist()
+    weight = dict(zip(ups, masses.tolist()))  # closed under A and B
     rng = make_rng(seed)
     func_viol = 0
     for _ in range(n_function_pairs):
-        f = _random_increasing_function(events, rng)
-        h = _random_increasing_function(events, rng)
+        f = _random_increasing_function(ups, rng)
+        h = _random_increasing_function(ups, rng)
         e_f = sum(c * weight[a] for a, c in f)
         e_h = sum(c * weight[b] for b, c in h)
         e_fh = sum(c * k * weight[a & b] for a, c in f for b, k in h)
@@ -145,21 +186,24 @@ def fkg_check(g: Multigraph, p, q, n_function_pairs: int = 100, seed: int = 0) -
     return {
         "identity": "fkg",
         "params": [str(p), str(q)],
-        "instances": len(events) * (len(events) + 1) // 2 + n_function_pairs,
+        "instances": len(ups) * (len(ups) + 1) // 2 + n_function_pairs,
         "event_violations": violations[:10],
         "function_violations": func_viol,
         "pass": not violations and func_viol == 0,
     }
 
 
-def _random_increasing_function(events: list[int], rng) -> list[tuple[int, Fraction]]:
+def _random_increasing_function(events: list[int], rng) -> list[tuple[int, int]]:
     """A random monotone function as a positive combination of up-set
-    indicators, given as its (up-set, coefficient) terms."""
-    return [
-        (events[int(rng.integers(0, len(events)))],
-         Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10))))
+    indicators, given as its (up-set, coefficient) terms.  The coefficients
+    are drawn as fractions and scaled by the lcm of their denominators: the
+    FKG test d E[fh] >= E[f] E[h] is homogeneous in f, so its verdict stays."""
+    terms = [
+        (events[int(rng.integers(0, len(events)))], int(rng.integers(1, 10)), int(rng.integers(1, 10)))
         for _ in range(int(rng.integers(1, 4)))
     ]
+    scale = lcm(*(den for _, _, den in terms))
+    return [(a, num * scale // den) for a, num, den in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +214,15 @@ _LOW = [[sum(1 << c for c in range(1 << m) if not c >> i & 1) for i in range(m)]
         for m in range(UPSET_EDGE_CAP + 1)]
 
 
-def _inside_table(event: int, m: int) -> list[int]:
-    """ins[K]: the configurations omega whose cylinder {omega' = omega on the
-    edge set K} lies inside the event.  Freeing an edge i of K splits the
-    cylinder in two, so ins[K - i] = ins[K] & (ins[K] with bit i flipped)."""
+def _inside_tables(events: np.ndarray, m: int) -> np.ndarray:
+    """ins[K]: for each event of an array of event masks, the configurations
+    omega whose cylinder {omega' = omega on the edge set K} lies inside the
+    event.  Freeing an edge i of K splits the cylinder in two, so
+    ins[K - i] = ins[K] & (ins[K] with bit i flipped)."""
     n = 1 << m
-    ins = [0] * (n - 1) + [event & ((1 << n) - 1)]
+    # masks of at most 32 bits, shifted by at most 16: int64 holds them
+    ins = np.empty((n,) + events.shape, dtype=np.int64)
+    ins[n - 1] = events & (1 << n) - 1
     for k in range(n - 2, -1, -1):
         i = (~k & (n - 1)).bit_length() - 1  # an edge outside K
         up, low, shift = ins[k | 1 << i], _LOW[m][i], 1 << i
@@ -183,45 +230,76 @@ def _inside_table(event: int, m: int) -> list[int]:
     return ins
 
 
-def _box(ins_a: list[int], ins_b: list[int]) -> int:
-    """A box B: the union over K of ins_A[K] and ins_B[complement of K]."""
-    return reduce(or_, map(and_, ins_a, reversed(ins_b)))
+def _box(pairs: np.ndarray, m: int) -> np.ndarray:
+    """A box B for each column (A, B) of a 2 x k array of event pairs: the
+    union over K of ins_A[K] and ins_B[complement of K]."""
+    ins = _inside_tables(pairs, m)
+    return np.bitwise_or.reduce(ins[:, 0] & ins[::-1, 1], axis=0)
 
 
 def box_product(a: int, b: int, m: int) -> int:
     """The disjoint-occurrence event A box B: configurations admitting
     disjoint certificate edge sets for A and for B."""
     _check_event_cap(m)
-    return _box(_inside_table(a, m), _inside_table(b, m))
+    full = (1 << (1 << m)) - 1
+    return int(_box(np.array([[a & full], [b & full]], dtype=np.int64), m)[0])
 
 
-def _na_witness(w: list[int], d: int, m: int):
+@cache
+def _splits(m: int) -> list[np.ndarray]:
+    """Per size r of the edge set F, every split (F, R) of the m edges in
+    lexicographic order of F, as a read-only stack of 2^(m-r) x 2^r matrices:
+    entry (rho, phi) of a split is the configuration whose R-part is the
+    R-subcube configuration rho and whose F-part is phi."""
+    cube = np.arange(1 << m)
+    stacks = []
+    for r in range(m + 1):
+        cfgs = []
+        for coords in combinations(range(m), r):
+            order = list(coords) + [i for i in range(m) if i not in coords]
+            cfg = np.empty_like(cube)
+            cfg[(cube[:, None] >> np.array(order, dtype=int) & 1) @ (1 << np.arange(m))] = cube
+            cfgs.append(cfg.reshape(1 << (m - r), 1 << r))
+        stacks.append(np.stack(cfgs))
+        stacks[-1].flags.writeable = False
+    return stacks
+
+
+def _na_witness(w: np.ndarray, d: int, m: int):
     """The first up-set pair, A on edges F and B on the rest R, over splits
     and up-sets in order, with d W(A and B) > W(A) W(B), lifted to the full
-    cube; None if there is none.  Each split sorts the weights into one
-    column over the F-subcube per R-configuration, so the column masses of
-    A are the weights over R where A holds."""
-    cube = range(1 << m)
-    for r in range(m + 1):
-        for coords in combinations(range(m), r):
-            rest = tuple(i for i in range(m) if i not in coords)
-            ups_r = enumerate_increasing_events(len(rest))
-            # each configuration's index in the F- and in the R-subcube
-            proj_f, proj_r = ([sum((c >> i & 1) << j for j, i in enumerate(on)) for c in cube]
-                              for on in (coords, rest))
-            cols = [[0] * (1 << r) for _ in range(1 << len(rest))]
-            for c in cube:
-                cols[proj_r[c]][proj_f[c]] += w[c]
-            col_mass = [_mass(col) for col in cols]
-            weight_r = list(map(_mass([sum(col) for col in cols]), ups_r))
-            for a in enumerate_increasing_events(r):
-                on_a = [mass(a) for mass in col_mass]
-                wa, mass_a = sum(on_a), _mass(on_a)
-                for b, wb in zip(ups_r, weight_r):
-                    if d * mass_a(b) > wa * wb:
-                        return tuple(sum(1 << c for c in cube if e >> proj[c] & 1)
-                                     for e, proj in ((a, proj_f), (b, proj_r)))
+    cube; None if there is none.  A split M of the weights has one row per
+    R- and one column per F-configuration; with the up-set indicator
+    matrices I_F and I_R, W(A and B) is I_F M^T I_R^T, and W(A) and W(B) are
+    its sums over all of R and all of F.  The splits of one size of F are
+    scanned as one stack."""
+    for r, cfgs in enumerate(_splits(m)):
+        ind_f, ind_r = _upsets(r)[1], _upsets(m - r)[1]
+        split = w[cfgs]
+        on_a = ind_f @ split.transpose(0, 2, 1)  # W(A and omega_R = rho) per R-configuration rho
+        w_ab = on_a @ ind_r.T
+        w_a, w_b = on_a.sum(axis=2), split.sum(axis=2) @ ind_r.T
+        k = _first(d * w_ab > w_a[:, :, None] * w_b[:, None, :])
+        if k is not None:
+            s, a, b = np.unravel_index(k, w_ab.shape)
+            return tuple(sum(1 << c for c in cfg.ravel().tolist())
+                         for cfg in (cfgs[s][:, ind_f[a] == 1], cfgs[s][ind_r[b] == 1]))
     return None
+
+
+def _doc_pair_blocks(m: int, exhaustive: bool, budget: int, seed: int):
+    """The DOC scan's event pairs as 2 x k blocks, one pair per column:
+    every pair a <= b of the 2^(2^m) events in row-major order, or
+    ``budget`` seeded pairs drawn a, b, a, b, ... from one stream."""
+    n_events = 1 << (1 << m)
+    if exhaustive:
+        for i, j in _triangle_blocks(n_events):
+            yield np.stack([i, j])
+        return
+    rng = make_rng(seed)
+    for start in range(0, budget, _PAIR_BLOCK):
+        draws = rng.integers(0, n_events, size=2 * min(_PAIR_BLOCK, budget - start))
+        yield draws.reshape(-1, 2).T
 
 
 def negative_association_checks(
@@ -238,6 +316,8 @@ def negative_association_checks(
     that (coverage is reported; the implication chain (c) => (b) => (a) is
     asserted only on exhaustive results).
     """
+    if doc_pair_budget < 0:
+        raise ValueError(f"doc_pair_budget must be >= 0, got {doc_pair_budget}")
     m = table.space[1]
     w, d = _weights(table)
 
@@ -250,28 +330,23 @@ def negative_association_checks(
     na = na_witness is None
 
     # (c) disjoint occurrence property
-    n_events = 1 << (1 << m)
     doc_exhaustive = include_doc and m <= 3
     if not include_doc:
-        pairs, n_pairs = (), 0
+        n_pairs = 0
     elif doc_exhaustive:
-        pairs = ((a, b) for a in range(n_events) for b in range(a, n_events))
+        n_events = 1 << (1 << m)
         n_pairs = n_events * (n_events + 1) // 2
     else:
-        rng = make_rng(seed)
-        pairs = (
-            (int(rng.integers(0, n_events)), int(rng.integers(0, n_events)))
-            for _ in range(doc_pair_budget)
-        )
         n_pairs = doc_pair_budget
-    mass = _mass(w)
-    algebra = lru_cache(maxsize=None)(lambda e: (_inside_table(e, m), mass(e)))
     doc_witness = None
-    for a, b in pairs:
-        (ins_a, wa), (ins_b, wb) = algebra(a), algebra(b)
-        if d * mass(_box(ins_a, ins_b)) > wa * wb:
-            doc_witness = (a, b)
-            break
+    if include_doc:
+        tables = _mass_tables(w)
+        for pairs in _doc_pair_blocks(m, doc_exhaustive, n_pairs, seed):
+            w_a, w_b = _masses(tables, pairs)
+            k = _first(d * _masses(tables, _box(pairs, m)) > w_a * w_b)
+            if k is not None:
+                doc_witness = (int(pairs[0, k]), int(pairs[1, k]))
+                break
     doc = doc_witness is None if include_doc else None
 
     # (c) => (b) is asserted only where the DOC scan was exhaustive
@@ -319,7 +394,7 @@ def total_variation(mu1: MeasureTable, mu2: MeasureTable) -> Fraction:
     if mu1.space != mu2.space:
         raise ValueError("measures live on different spaces")
     (w1, d1), (w2, d2) = _weights(mu1), _weights(mu2)
-    return Fraction(sum(abs(x * d2 - y * d1) for x, y in zip(w1, w2)), 2 * d1 * d2)
+    return Fraction(sum(abs(x * d2 - y * d1) for x, y in zip(w1.tolist(), w2.tolist())), 2 * d1 * d2)
 
 
 REGIME_TARGET = {
@@ -415,7 +490,7 @@ def ust_feder_mihail_check(g: Multigraph) -> dict:
 def negative_association_checks_edge_only(table: MeasureTable) -> dict:
     m = table.space[1]
     w, d = _weights(table)
-    support = [(a, x) for a, x in enumerate(w) if x]
+    support = [(a, x) for a, x in enumerate(w.tolist()) if x]
     weight = lambda edges: sum(x for a, x in support if a & edges == edges)
     for e, f in combinations(range(m), 2):
         if d * weight(1 << e | 1 << f) > weight(1 << e) * weight(1 << f):

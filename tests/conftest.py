@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -84,6 +84,58 @@ def box_product_oracle(a: int, b: int, m: int) -> int:
         ):
             out |= 1 << omega
     return out
+
+
+def event_probability(table, event: int) -> Fraction:
+    """P(event) summed in Fractions over the configurations in the event."""
+    return sum((x for a, x in table.probs.items() if event >> a & 1), Fraction(0))
+
+
+def fkg_sweep_oracle(table, events) -> list[dict]:
+    """The first ten up-set pairs A <= B, in the order of ``events``, with
+    P(A and B) < P(A) P(B), each probability summed from its definition."""
+    prob = {e: event_probability(table, e) for e in events}
+    violations = []
+    for i, a in enumerate(events):
+        for b in events[i:]:
+            if event_probability(table, a & b) < prob[a] * prob[b]:
+                violations.append({"A": a, "B": b})
+                if len(violations) == 10:
+                    return violations
+    return violations
+
+
+def na_split_oracle(table, m: int, upsets):
+    """The first pair (A, B), A increasing on an edge set F and B increasing
+    on its complement, with P(A and B) > P(A) P(B): splits by size of F, then
+    lexicographically, A outer and B inner in the order ``upsets(k)`` gives
+    the up-sets of the k-cube.  A and B are lifted to events of the m-cube."""
+    for r in range(m + 1):
+        for coords in combinations(range(m), r):
+            rest = [i for i in range(m) if i not in coords]
+
+            def lift(event, on):
+                return sum(1 << c for c in range(1 << m)
+                           if event >> sum((c >> i & 1) << j for j, i in enumerate(on)) & 1)
+
+            lifted_b = [lift(b, rest) for b in upsets(len(rest))]
+            for a in upsets(r):
+                big_a = lift(a, coords)
+                for big_b in lifted_b:
+                    joint = event_probability(table, big_a & big_b)
+                    if joint > event_probability(table, big_a) * event_probability(table, big_b):
+                        return big_a, big_b
+    return None
+
+
+def doc_scan_oracle(table, m: int, pairs):
+    """The first event pair (a, b) of ``pairs`` with
+    P(A box B) > P(A) P(B), A box B read from ``box_product_oracle``."""
+    for a, b in pairs:
+        box = event_probability(table, box_product_oracle(a, b, m))
+        if box > event_probability(table, a) * event_probability(table, b):
+            return a, b
+    return None
 
 
 def brute_force_flow_count(g: Multigraph, q: int) -> int:

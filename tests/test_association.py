@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -18,12 +19,13 @@ from rcpotts.association import (
     uniform_substructure_measure,
     ust_feder_mihail_check,
 )
+from rcpotts.coupling import make_rng
 from rcpotts.families import simple_graphs
 from rcpotts.graphs import EnumerationCapExceeded, Multigraph, complete, cycle, path, triangle
 from rcpotts.measures import MeasureTable, RCParams, rc_measure_table
 from rcpotts.polynomials import count_spanning_trees
 
-from .conftest import box_product_oracle
+from .conftest import box_product_oracle, doc_scan_oracle, event_probability, fkg_sweep_oracle, na_split_oracle
 
 F = Fraction
 
@@ -107,6 +109,19 @@ class TestFkg:
             "function_violations": function_violations,
             "pass": False,
         }
+
+
+    @pytest.mark.parametrize("g, p, q", [
+        (triangle(), F(1, 2), F(1, 4)),
+        (cycle(4), F(1, 3), F(1, 2)),
+        (Multigraph(3, ((0, 1), (1, 2), (1, 2), (0, 0))), F(3, 4), F(1, 10**6)),  # d > 2^31
+        (Multigraph(3, ((0, 1), (1, 2), (0, 2), (0, 2))), F(1, 1000), F(3, 2)),  # d > 2^31, no violation
+    ])
+    def test_sweep_matches_oracle(self, g, p, q):
+        rep = fkg_check(g, p, q, n_function_pairs=0)
+        table = rc_measure_table(g, RCParams(p, q))
+        assert rep["event_violations"] == fkg_sweep_oracle(table, enumerate_increasing_events(g.m))
+        assert rep["pass"] == (not rep["event_violations"])
 
 
 class TestBoxProduct:
@@ -218,6 +233,86 @@ class TestNegativeAssociation:
         )
 
 
+# (graph, p, q, DOC seed) at m <= 4, with the bit length of d.  The 4-edge
+# seeds put a DOC witness among the first dozen seeded pairs, where the
+# definition-level oracle reaches it.
+ORACLE_CASES = [
+    (triangle(), F(1, 2), F(2), 0),  # 4 bits
+    (triangle(), F(1, 2), F(1, 2), 0),  # 5 bits
+    (path(3), F(1, 3), F(1), 0),  # 4 bits
+    (Multigraph(2, ((0, 1),) * 3), F(1, 1000), F(2), 0),  # 31 bits, the last on int64
+    (triangle(), F(1, 1000), F(1, 10**6), 0),  # 52 bits
+    (Multigraph(2, ((0, 1), (0, 1))), F(1, 1000), F(1, 10**6), 0),  # 31 bits
+    (Multigraph(4, ((0, 1), (0, 3), (1, 3), (1, 2))), F(3, 4), F(1, 10**6), 1814177932),  # 68 bits
+    (Multigraph(3, ((1, 2), (0, 1), (2, 2), (1, 2))), F(1, 3), F(1, 10**6), 1924404790),  # 41 bits
+]
+
+# Bond measures on 2 edges over d = 2^31 - 1, the largest int64 denominator,
+# and over d = 2^31, the smallest object one; weights of about d/3, so the
+# products compared are near 2^62.
+INT64_BOUNDARY_CASES = [
+    MeasureTable(("bond", 2), {0: F(1, d), 1: F(k, d), 2: F(k + 2, d), 3: F(d - 2 * k - 3, d)})
+    for d, k in ((2**31 - 1, 715827882), (2**31, 715827883))
+]
+
+
+def _report_from_oracles(table, budget, seed):
+    m = table.space[1]
+    n_events = 1 << (1 << m)
+    if m <= 3:
+        pairs = ((a, b) for a in range(n_events) for b in range(a, n_events))
+        n_pairs = n_events * (n_events + 1) // 2
+    else:
+        rng = make_rng(seed)
+        pairs = ((int(rng.integers(0, n_events)), int(rng.integers(0, n_events))) for _ in range(budget))
+        n_pairs = budget
+    p = lambda edges: event_probability(table, sum(1 << a for a in range(1 << m) if a & edges == edges))
+    edge_witness = next(((e, f) for e in range(m) for f in range(e + 1, m)
+                         if p(1 << e | 1 << f) > p(1 << e) * p(1 << f)), None)
+    na_witness = na_split_oracle(table, m, enumerate_increasing_events)
+    doc_witness = doc_scan_oracle(table, m, pairs)
+    edge_na, na, doc = edge_witness is None, na_witness is None, doc_witness is None
+    chain_ok = (not na or edge_na) and (m > 3 or not doc or na)
+    return {
+        "identity": "negative-association",
+        "edge_na": edge_na,
+        "na": na,
+        "disjoint_occurrence": doc,
+        "doc_exhaustive": m <= 3,
+        "doc_pairs_checked": n_pairs,
+        "witnesses": {"edge_na": edge_witness, "na": na_witness, "disjoint_occurrence": doc_witness},
+        "implication_chain_ok": chain_ok,
+        "pass": chain_ok,
+    }
+
+
+class TestNegativeAssociationOracles:
+    @pytest.mark.parametrize("g, p, q, seed", ORACLE_CASES)
+    def test_report_matches_oracles(self, g, p, q, seed):
+        table = rc_measure_table(g, RCParams(p, q))
+        rep = negative_association_checks(table, doc_pair_budget=400, seed=seed)
+        assert rep == _report_from_oracles(table, 400, seed)
+
+    @pytest.mark.parametrize("table", INT64_BOUNDARY_CASES)
+    def test_int64_boundary_matches_oracles(self, table):
+        assert negative_association_checks(table) == _report_from_oracles(table, 0, 0)
+
+    def test_negative_doc_budget_rejected(self):
+        table = uniform_substructure_measure(cycle(4), "spanning-tree")
+        with pytest.raises(ValueError, match="doc_pair_budget"):
+            negative_association_checks(table, doc_pair_budget=-5)
+
+    @pytest.mark.parametrize("n", [1 << 16, 1 << 32])
+    def test_block_draws_continue_the_scalar_stream(self, n):
+        # the seeded DOC pairs of 4 and 5 edges are drawn in blocks; they
+        # must be the pairs that one scalar draw at a time gives
+        rng = make_rng(7)
+        scalar = [int(rng.integers(0, n)) for _ in range(2 * 700)]
+        rng = make_rng(7)
+        blocks = [rng.integers(0, n, size=k) for k in (2, 398, 1000)]
+        assert [int(x) for block in blocks for x in block] == scalar
+
+
 class TestLimitMeasures:
     def test_ust_support_size(self):
         t = uniform_substructure_measure(cycle(4), "spanning-tree")
@@ -322,3 +417,40 @@ class TestConjectureScan:
         graphs = [g for g in simple_graphs(4, connected=True) if 0 < g.m <= 5]
         rep = conjecture_forest_scan(graphs)
         assert rep["counterexamples_found"] == 0
+
+
+PIN_PS = (F(1, 1000), F(1, 3), F(1, 2), F(3, 4))
+PIN_QS = (F(1, 10**6), F(1, 2), F(1), F(3, 2), F(2), F(3))
+
+
+def _pinned_reports() -> list:
+    """Seeded random connected multigraphs with 3-5 edges (loops and
+    parallel edges allowed): NA with and without DOC, UST, and FKG and a
+    comparison up to 4 edges.  Denominators run from 4 to 91 bits, and the
+    8000-pair DOC budgets put witnesses at seeded pairs 2,406 and 6,051,
+    past the first numpy block."""
+    rng = random.Random(15)
+    reports = []
+    for i in range(60):
+        n = rng.randint(2, 5)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(max(n - 1, 3), 5) - n + 1)]
+        g = Multigraph(n, tuple(edges))
+        p, q, seed = rng.choice(PIN_PS), PIN_QS[i % len(PIN_QS)], rng.getrandbits(31)
+        table = rc_measure_table(g, RCParams(p, q))
+        reports += [
+            negative_association_checks(table, doc_pair_budget=(400, 8000)[i % 2], seed=seed),
+            negative_association_checks(table, include_doc=False),
+            ust_feder_mihail_check(g),
+        ]
+        if g.m <= 4:
+            reports += [fkg_check(g, p, q, n_function_pairs=10, seed=seed),
+                        comparison_check(g, p, q, p, max(q, F(1)) + F(1, 2))]
+    return reports
+
+
+def test_reports_pinned():
+    # SHA-256 of repr() of every report, witness and count above, written
+    # against the pair-by-pair scans that the numpy blocks replaced
+    digest = hashlib.sha256(repr(_pinned_reports()).encode()).hexdigest()
+    assert digest == "0a28557a9dc93813a96c9f624b6889b8a224beeaa49a45f11ebfea1b4be7ff6e"
