@@ -9,6 +9,7 @@ for beta, lambda, and real-q paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -96,7 +97,11 @@ def _tutte_cache() -> TutteCache:
     return TutteCache(size)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every ``run``:
+    parsing leaves it unchanged, and each build would leave several hundred
+    objects in reference cycles for the cyclic collector."""
     ap = argparse.ArgumentParser(prog="rcpotts", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)

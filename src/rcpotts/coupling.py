@@ -4,13 +4,21 @@ kernels, and a Swendsen-Wang alternating sampler.
 Sampling uses numpy's Philox counter-based generator.  A master seed is fed
 to ``numpy.random.SeedSequence``; parallel chains use ``spawn`` so streams
 are independent and reproducible regardless of scheduling.
+
+``sw_sample`` reads its private Philox generator as raw 64-bit words, in
+numpy blocks, and turns them into exactly the draws ``Generator.random``
+and ``Generator.integers`` would give on the same stream (numpy 2.4.6's
+algorithms; ``tests/test_coupling.py`` pins them against the Generator), so
+a chain pays numpy's per-call cost once per block, not twice per sweep.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
 
 import numpy as np
@@ -75,43 +83,134 @@ def joint_table(g: Multigraph, p: Fraction, q: int) -> MeasureTable:
     )
 
 
-def spins_given_bonds(g: Multigraph, bonds: int, q: int, rng: np.random.Generator) -> tuple:
-    """Uniform independent spin per open cluster, constant on clusters."""
+_BLOCK = 4096  # raw words read per numpy call
+_U32 = 1 << 32
+_U64 = 1 << 64
+
+
+class _RawDraws:
+    """Exact ``Generator.random`` / ``Generator.integers`` draws read from a
+    Philox bit generator's raw 64-bit words.
+
+    A double is (w >> 11)·2⁻⁵³, so it falls below p exactly when
+    w < ⌈p·2⁵³⌉·2¹¹; each block keeps the positions of its words below that
+    cut.  ``integers(0, q)`` is Lemire's bounded draw: for q ≤ 2³² on 32-bit
+    halves, the low half of a word first and the high half kept for the next
+    draw, across calls; above that on whole words.  Doubles take whole words
+    and leave a kept half alone, as the Generator does.
+    """
+
+    def __init__(self, bit_generator, p):
+        self._bitgen = bit_generator
+        # w <= cut iff its double is below p; p < 1 keeps the cut below 2**64
+        self._cut = np.uint64((math.ceil(Fraction(p) * (1 << 53)) << 11) - 1)
+        self._words = np.empty(0, dtype=np.uint64)
+        self._below = []
+        self._pos = 0
+        self._half = None
+
+    def _refill(self, need: int) -> None:
+        """Keep the unread words and append at least ``need`` more."""
+        words = self._bitgen.random_raw(max(_BLOCK, need))
+        self._words = np.concatenate((self._words[self._pos:], words))
+        self._below = np.flatnonzero(self._words <= self._cut).tolist()
+        self._pos = 0
+
+    def _take(self, n: int) -> list:
+        """The next n words, as Python ints."""
+        if self._pos + n > len(self._words):
+            self._refill(n)
+        self._pos += n
+        return self._words[self._pos - n:self._pos].tolist()
+
+    def below(self, m: int) -> list:
+        """Consume m doubles; return the indices i < m of those below p."""
+        start = self._pos
+        if start + m > len(self._words):
+            self._refill(m)
+            start = 0
+        self._pos = start + m
+        below = self._below
+        lo = bisect_left(below, start)
+        return [j - start for j in below[lo:bisect_left(below, start + m, lo)]]
+
+    def integers(self, q: int, k: int) -> list:
+        """k draws of ``integers(0, q)`` for 1 <= q <= 2⁶³."""
+        if q == 1:
+            return [0] * k  # a one-value range reads no word
+        out = []
+        if q > _U32:
+            threshold = _U64 % q
+            while len(out) < k:
+                words = self._take(k - len(out))
+                out += [m >> 64 for w in words if (m := w * q) & (_U64 - 1) >= threshold]
+            return out
+        threshold = _U32 % q
+        while len(out) < k:
+            halves = [] if self._half is None else [self._half]
+            for w in self._take((k - len(out) - len(halves) + 1) // 2):
+                halves += (w & 0xFFFFFFFF, w >> 32)
+            # a spare half waits for the next draw, or for this one's redraws
+            self._half = halves.pop() if len(halves) > k - len(out) else None
+            out += [m >> 32 for u in halves if (m := u * q) & 0xFFFFFFFF >= threshold]
+        return out
+
+
+def _open_agreeing(g: Multigraph, spins, candidates) -> int:
+    """The bond set: each candidate edge (drawn open) whose ends agree."""
+    edges = g.edges
+    bonds = 0
+    for i in candidates:
+        u, v = edges[i]
+        if spins[u] == spins[v]:
+            bonds |= 1 << i
+    return bonds
+
+
+def _colour_clusters(g: Multigraph, bonds: int, draw) -> tuple:
+    """One spin per open cluster, ``draw(k)`` giving the k spins of the
+    sorted cluster roots."""
     labels = open_clusters(g, bonds)
     roots = sorted(set(labels))
-    draw = dict(zip(roots, rng.integers(0, q, size=len(roots)).tolist()))
-    return tuple(map(draw.__getitem__, labels))
+    lut = dict(zip(roots, draw(len(roots))))
+    return tuple(map(lut.__getitem__, labels))
+
+
+def spins_given_bonds(g: Multigraph, bonds: int, q: int, rng: np.random.Generator) -> tuple:
+    """Uniform independent spin per open cluster, constant on clusters."""
+    return _colour_clusters(g, bonds, lambda k: rng.integers(0, q, size=k).tolist())
 
 
 def bonds_given_spins(g: Multigraph, spins, p: float, rng: np.random.Generator) -> int:
     """Close every disagreeing edge; open agreeing edges independently with
     probability p."""
-    bonds = 0
-    for i, ((u, v), r) in enumerate(zip(g.edges, rng.random(g.m).tolist())):
-        if r < p and spins[u] == spins[v]:
-            bonds |= 1 << i
-    return bonds
+    return _open_agreeing(g, spins, [i for i, r in enumerate(rng.random(g.m).tolist()) if r < p])
 
 
 def sw_sample(g: Multigraph, p: float, q: int, cfg: SamplerConfig, stream: int = 0):
     """Swendsen-Wang chain: alternate the two conditional kernels.
 
     Yields ``cfg.samples`` joint configurations after burn-in, one every
-    ``cfg.thinning`` sweeps.  Deterministic given (seed, stream).
+    ``cfg.thinning`` sweeps.  Deterministic given (seed, stream): the draws
+    are those of ``bonds_given_spins`` and ``spins_given_bonds`` on
+    ``make_rng(seed, stream)``, after ``integers(0, q, size=n)`` initial spins.
     """
     if not (0 < p < 1):
         raise ValueError("p must lie in (0,1)")
     if not (2 <= q < math.inf and q == int(q)):
         raise ValueError("q must be an integer >= 2")
     q = int(q)
-    rng = make_rng(cfg.seed, stream)
-    spins = tuple(rng.integers(0, q, size=g.n).tolist())
+    if q > 1 << 63:
+        raise ValueError("q must be at most 2**63")
+    draws = _RawDraws(make_rng(cfg.seed, stream).bit_generator, p)
+    spins = tuple(draws.integers(q, g.n))
     bonds = 0
+    m = g.m
+    colours = partial(draws.integers, q)
 
     def sweep(spins):
-        b = bonds_given_spins(g, spins, p, rng)
-        s = spins_given_bonds(g, b, q, rng)
-        return s, b
+        b = _open_agreeing(g, spins, draws.below(m))
+        return _colour_clusters(g, b, colours), b
 
     for _ in range(cfg.burn_in):
         spins, bonds = sweep(spins)

@@ -154,6 +154,31 @@ class TestErrors:
         assert run(["tutte", "--graph", triangle_file]) == 0
 
 
+class TestParserReuse:
+    def test_runs_around_a_bad_argv_agree(self, capsys, triangle_file):
+        # one parser serves every run: a failed parse in between leaves no trace
+        good = ["sample-sw", "--graph", triangle_file, "--p", "0.5", "--q", "3",
+                "--sweeps", "200", "--burn-in", "10", "--seed", "4"]
+        code1, rep1 = run_json(capsys, good)
+        for bad in (["sample-sw", "--graph", triangle_file, "--q", "3"],
+                    ["sample-sw", "--graph", triangle_file, "--p", "0.5", "--q", "x"],
+                    ["definitely-not-a-command"],
+                    ["sample-sw", "--graph", triangle_file, "--p", "0.5", "--q", "2", "--seed", "9",
+                     "--x", "7"]):
+            assert run(bad) == 1
+        assert "error:" in capsys.readouterr().err
+        code2, rep2 = run_json(capsys, good)
+        assert code1 == code2 == 0
+        assert rep1 == rep2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["tutte", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv, triangle_file):
+        assert run(argv) == 0
+        assert capsys.readouterr().out
+        code, rep = run_json(capsys, ["flow-count", "--graph", triangle_file, "--q", "4"])
+        assert code == 0 and rep["count"] == 3
+
+
 # Bad inputs across the subcommands: each must end in exit code 1 and an
 # error line, never in an exception escaping run().
 BAD_INPUTS = {

@@ -1,9 +1,13 @@
+import hashlib
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rcpotts.coupling import (
     JointConfig,
+    _RawDraws,
     SamplerConfig,
     batch_means,
     bonds_given_spins,
@@ -16,7 +20,7 @@ from rcpotts.coupling import (
     spins_given_bonds,
     sw_sample,
 )
-from rcpotts.graphs import Multigraph, cycle, triangle
+from rcpotts.graphs import Multigraph, complete, cycle, triangle
 from rcpotts.measures import (
     PottsParams,
     RCParams,
@@ -26,6 +30,31 @@ from rcpotts.measures import (
 
 F = Fraction
 EDGE = Multigraph(2, ((0, 1),))
+MULTI = Multigraph(5, ((0, 1), (1, 1), (1, 2), (0, 1), (2, 3)))
+
+# SHA-256 of each chain's "spins:bonds;" stream as drawn through the numpy
+# Generator calls of bonds_given_spins and spins_given_bonds; any change to a
+# seeded draw breaks one.
+STREAM_DIGESTS = {
+    "k20": (complete(20), 3 / 20, 3, SamplerConfig(seed=1, burn_in=0, samples=300), 0,
+            "4bb618de46c16ade4c2d2ffdfee33e5f16c79581386887591fba6c098f8362fd"),
+    # 2**32 mod q = 2**30 - 5: about one 32-bit draw in four is redrawn
+    "q-rejection": (MULTI, 0.6, 3 * 2**30 + 5, SamplerConfig(seed=2, burn_in=2, samples=40, thinning=2), 0,
+                    "ebdae52af564f7c721603ee552c29c03863768b46302bbd3724c74e65b9de373"),
+    "q-64bit": (MULTI, 0.6, 2**40, SamplerConfig(seed=3, burn_in=1, samples=40), 1,
+                "9266f729a3f5d4667b3cd30956c622f2fba9eb2ecf6128f84d0c73fa88c70bc2"),
+    "q-2**63": (MULTI, 0.6, 2**63, SamplerConfig(seed=3, burn_in=1, samples=40), 0,
+                "d37a9d58086ca3632ad7fa653b219f80577e3bcc7f30e7bfaf3e18ace8f213cd"),
+    # m = 4,950 edge draws per sweep
+    "k100": (complete(100), 3 / 100, 3, SamplerConfig(seed=4, burn_in=0, samples=3), 0,
+             "810d3ad16d216ac6517e920c38f1c6c30fe48add50e92f366ff08b8d8e9c2825"),
+    "fraction-p": (complete(6), F(1, 3), 4, SamplerConfig(seed=5, burn_in=5, samples=100, thinning=3), 2,
+                   "16365b9f6d6a62928e4bb0f4709d70ebe4f76ff4ee9de7e3d8cc6c75865b2865"),
+    "high-p": (cycle(12), 0.999999, 2, SamplerConfig(seed=6, burn_in=0, samples=50), 0,
+               "0c6093e683465db13793e26a4f619d4f8bdf79d7e74ee8bd19ade804b60ab8ce"),
+    "low-p": (cycle(12), 1e-9, 5, SamplerConfig(seed=6, burn_in=0, samples=50), 0,
+              "b220fe987c7954102b3aa4a64603df1ba49d5af6de40b476765d8d8e3f88bc45"),
+}
 
 
 class TestJointTable:
@@ -116,6 +145,71 @@ class TestRng:
         b = make_rng(42, stream=1).integers(0, 1000, size=8)
         assert list(a) != list(b)
 
+    def test_generator_double_is_top_53_bits(self):
+        # the raw-word reader's cut for r < p rests on this
+        for seed in range(20):
+            words = make_rng(seed).bit_generator.random_raw(1000)
+            expected = ((words >> np.uint64(11)) * 2.0**-53).tolist()
+            assert make_rng(seed).random(1000).tolist() == expected
+
+    def test_raw_reader_matches_generator(self):
+        # _RawDraws must give what the Generator gives on the same stream, for
+        # interleaved random(k), integers(0, q, size=k) and scalar draws; a
+        # numpy release that changes either algorithm fails here
+        qs = (1, 2, 3, 1000, 2**31 + 11, 3 * 2**30 + 5, 2**32 - 1, 2**32, 2**32 + 3, 3 * 2**61, 2**63)
+        ps = (0.5, F(1, 3), 1e-9, 0.999999, 1 - F(1, 10**20))
+        for seed in range(20):
+            plan = random.Random(seed)
+            p = ps[seed % len(ps)]
+            rng = make_rng(seed)
+            draws = _RawDraws(make_rng(seed).bit_generator, p)
+            for _ in range(40):
+                q, k = plan.choice(qs), plan.choice((0, 1, 2, 3, 7, 40, 5000))
+                op = plan.randrange(3)
+                if op == 0:
+                    assert draws.below(k) == [i for i, r in enumerate(rng.random(k).tolist()) if r < p]
+                elif op == 1:
+                    assert draws.integers(q, k) == rng.integers(0, q, size=k).tolist()
+                else:
+                    assert draws.integers(q, 1) == [int(rng.integers(0, q))]
+            # a one-value range reads no word
+            assert draws.integers(1, 5) == [0] * 5
+            assert draws.integers(2**32, 3) == rng.integers(0, 2**32, size=3).tolist()
+
+    def test_raw_reader_cut_at_drawn_values(self):
+        # p equal to a drawn double: that draw is not below p.  A word whose
+        # low 11 bits are zero sits exactly on the cut, so an off-by-one cut
+        # shows there
+        for seed in range(5):
+            words = make_rng(seed).bit_generator.random_raw(20000).tolist()
+            on_cut = next(w for w in words if w % 2048 == 0)
+            for w in (words[0], on_cut):
+                for p in ((w >> 11) * 2.0**-53, F(w >> 11, 2**53) + F(1, 2**60)):
+                    rs = make_rng(seed).random(20000).tolist()
+                    assert _RawDraws(make_rng(seed).bit_generator, p).below(20000) == [
+                        i for i, r in enumerate(rs) if r < p
+                    ]
+
+    def test_sampler_matches_generator_kernels(self):
+        # sw_sample's draws are the public kernels' draws on make_rng(seed, stream)
+        plan = random.Random(1)
+        for _ in range(30):
+            n = plan.randint(1, 8)
+            g = Multigraph(n, tuple((plan.randrange(n), plan.randrange(n)) for _ in range(plan.randint(0, 14))))
+            p, q = plan.choice((1e-3, 0.3, 0.8, F(2, 7))), plan.choice((2, 3, 7, 3 * 2**30 + 5, 2**40))
+            cfg = SamplerConfig(seed=plan.randrange(1000), burn_in=plan.randint(0, 3), samples=20,
+                                thinning=plan.randint(1, 2))
+            stream = plan.randint(0, 2)
+            rng = make_rng(cfg.seed, stream)
+            spins = tuple(rng.integers(0, q, size=n).tolist())
+            expected = []
+            for sweep in range(cfg.burn_in + cfg.samples * cfg.thinning):
+                bonds = bonds_given_spins(g, spins, p, rng)
+                spins = spins_given_bonds(g, bonds, q, rng)
+                if sweep >= cfg.burn_in and (sweep - cfg.burn_in + 1) % cfg.thinning == 0:
+                    expected.append(JointConfig(spins, bonds))
+            assert list(sw_sample(g, p, q, cfg, stream)) == expected
+
 
 class TestSampler:
     def test_deterministic_given_seed(self):
@@ -148,6 +242,14 @@ class TestSampler:
             "00002:11 22212:5 02200:6"
         )
 
+    @pytest.mark.parametrize("case", sorted(STREAM_DIGESTS))
+    def test_seeded_stream_digest(self, case):
+        g, p, q, cfg, stream, expected = STREAM_DIGESTS[case]
+        h = hashlib.sha256()
+        for c in sw_sample(g, p, q, cfg, stream):
+            h.update(f"{','.join(map(str, c.spins))}:{c.bonds};".encode())
+        assert h.hexdigest() == expected
+
     def test_two_point_estimate_unchanged(self):
         # 10,000 samples span several labelling batches; every float is pinned
         g = cycle(12)
@@ -168,6 +270,9 @@ class TestSampler:
             list(sw_sample(triangle(), 1.5, 2, SamplerConfig()))
         for q in (1, 2.5, 2.9):
             with pytest.raises(ValueError, match="q must be an integer >= 2"):
+                list(sw_sample(triangle(), 0.5, q, SamplerConfig()))
+        for q in (2**63 + 1, 2**64):
+            with pytest.raises(ValueError, match=r"q must be at most 2\*\*63"):
                 list(sw_sample(triangle(), 0.5, q, SamplerConfig()))
         with pytest.raises(ValueError):
             SamplerConfig(samples=0)
