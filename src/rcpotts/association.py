@@ -513,10 +513,11 @@ def conjecture_forest_scan(graphs, full_na_cap: int = UPSET_EDGE_CAP) -> dict:
             if kind == "connected-subgraph" and not is_connected(g):
                 continue
             table = uniform_substructure_measure(g, kind)
-            found = {"edge-na": negative_association_checks_edge_only(table)["witness"]}
-            if g.m <= full_na_cap:
-                rep = negative_association_checks(table, include_doc=False)
-                found["na"] = rep["witnesses"]["na"]
+            if g.m <= full_na_cap:  # the full report carries the edge witness too
+                rep = negative_association_checks(table, include_doc=False)["witnesses"]
+                found = {"edge-na": rep["edge_na"], "na": rep["na"]}
+            else:
+                found = {"edge-na": negative_association_checks_edge_only(table)["witness"]}
             for check, witness in found.items():
                 if witness is not None:
                     graph = {"n": g.n, "edges": [list(e) for e in g.edges]}

@@ -11,19 +11,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .graphs import EnumerationCapExceeded, Multigraph, from_json_dict, triangle, cycle
-from .polynomials import (
-    TutteCache,
-    chromatic_poly,
-    flow_poly,
-    rank_gen_poly,
-    tutte_poly,
-)
+from .polynomials import chromatic_poly, flow_poly, rank_gen_poly, tutte_poly
 from .measures import (
     PottsParams,
     RCParams,
@@ -46,8 +39,6 @@ from .association import (
 from .asymptotics import convergence_report
 from .families import graphs_with_few_edges, simple_graphs
 from .measures import rc_measure_table
-
-DEFAULT_CACHE_ENV = "RCPOTTS_CACHE_SIZE"
 
 
 class UsageError(Exception):
@@ -90,11 +81,6 @@ def _emit(report: dict, out: str | None, fmt: str = "json") -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _tutte_cache() -> TutteCache:
-    size = int(os.environ.get(DEFAULT_CACHE_ENV, 1 << 20))
-    return TutteCache(size)
 
 
 @functools.cache
@@ -179,14 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _poly_command(args) -> dict:
     g = _load_graph(args.graph)
-    cache = _tutte_cache()
-    fn = {
-        "tutte": lambda: tutte_poly(g, cache),
-        "rank-gen": lambda: rank_gen_poly(g),
-        "chromatic": lambda: chromatic_poly(g, cache),
-        "flow-poly": lambda: flow_poly(g),
-    }[args.cmd]
-    poly = fn()
+    fn = {"tutte": tutte_poly, "rank-gen": rank_gen_poly, "chromatic": chromatic_poly, "flow-poly": flow_poly}
+    poly = fn[args.cmd](g)
     return {"command": args.cmd, "graph": args.graph, "polynomial": poly.to_json_dict()}
 
 
@@ -212,11 +192,8 @@ def _verify_suite(args) -> dict:
         for g in (graphs_for(4) if suite != "all" else simple_graphs(4, connected=True)):
             reports.append(verify_partition_identity(g, _frac(args.p), int(q)))
     if suite in ("tutte-rcm", "all"):
-        cache = _tutte_cache()
         for g in simple_graphs(4, connected=True):
-            if g.n == 0:
-                continue
-            reports.append(tutte_rc_identity(g, _frac(args.p), _frac(args.q), cache))
+            reports.append(tutte_rc_identity(g, _frac(args.p), _frac(args.q)))
     if suite in ("fkg", "all"):
         for g in graphs_for(4):
             reports.append(fkg_check(g, _frac(args.p), _frac(args.q), seed=seed))

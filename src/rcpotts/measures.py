@@ -199,7 +199,10 @@ def _potts_float_sums(g: Multigraph, params: PottsParams, pairs):
 def potts_partition(g: Multigraph, params: PottsParams) -> float:
     """Z_P for real beta, general couplings and external fields (floats)."""
     top, z, _ = _potts_float_sums(g, params, ())
-    z = math.exp(top) * z
+    try:
+        z = math.exp(top) * z
+    except OverflowError:  # e^top alone is past the float range
+        z = math.inf
     if not math.isfinite(z):
         raise OverflowError(f"Z_P overflows a float at beta = {params.beta}")
     return z

@@ -8,7 +8,6 @@ All coefficients are exact big integers; evaluation takes exact rationals
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
 from functools import reduce
 from math import prod
@@ -26,8 +25,6 @@ from .graphs import (
     spin_configs,
     subset_size_components,
 )
-
-DEFAULT_CACHE_SIZE = 1 << 20
 
 
 class BivariatePolynomial:
@@ -166,32 +163,18 @@ def rank_gen_poly(g: Multigraph) -> BivariatePolynomial:
 
 
 class TutteCache:
-    """Bounded LRU table of Tutte polynomials, keyed on the deterministic
-    canonical key of each graph; a miss is a polynomial computed."""
+    """Tutte polynomials of the graphs asked for, keyed on the deterministic
+    canonical key of each graph, for a caller that asks across calls.  Every
+    lookup counts, minors included: a hit is a polynomial found, a miss one
+    computed.  ``len`` is the number of graphs kept."""
 
-    def __init__(self, max_size: int = DEFAULT_CACHE_SIZE):
-        self.max_size = max_size
-        self._table: OrderedDict = OrderedDict()
+    def __init__(self):
+        self._table = {}
         self.hits = 0
         self.misses = 0
 
-    def get(self, key):
-        val = self._table.get(key)
-        if val is not None:
-            self._table.move_to_end(key)
-            self.hits += 1
-        else:
-            self.misses += 1
-        return val
-
-    def put(self, key, value):
-        self._table[key] = value
-        self._table.move_to_end(key)
-        while len(self._table) > self.max_size:
-            self._table.popitem(last=False)
-
-
-_default_cache = TutteCache()
+    def __len__(self):
+        return len(self._table)
 
 
 def tutte_poly(g: Multigraph, cache: TutteCache | None = None) -> BivariatePolynomial:
@@ -200,28 +183,29 @@ def tutte_poly(g: Multigraph, cache: TutteCache | None = None) -> BivariatePolyn
     Loops and bridges are factored out eagerly (bridge -> factor x, loop ->
     factor y); any remaining edge is branched on as T = T(delete) +
     T(contract).  Satisfies T(x, y) = (x-1)^(|V|-1) W(1/(x-1), y-1) on
-    connected graphs.  ``cache`` keeps T(g) only; the minors go in a memo of
-    the same size that lives for this call, so a cache kept across calls
-    grows by one entry per graph asked for, not by its hundreds of minors.
+    connected graphs.  The minors are memoised in a table that lives for
+    this call.  Without ``cache`` nothing is kept between calls; ``cache``
+    keeps T(g) only, so it grows by one entry per graph asked for, not by
+    its hundreds of minors.
     """
     if cache is None:
-        cache = _default_cache
+        cache = TutteCache()
     key = canonical_key(g)
-    result = cache.get(key)
+    result = cache._table.get(key)
     if result is None:
-        memo = TutteCache(cache.max_size)
-        result = _tutte_rec(g, memo)
-        cache.put(key, result)
-        cache.hits += memo.hits
-        cache.misses += memo.misses - 1  # g's miss is counted once, above
+        result = cache._table[key] = _tutte_rec(g, {}, cache)
+    else:
+        cache.hits += 1
     return result
 
 
-def _tutte_rec(g: Multigraph, cache: TutteCache) -> BivariatePolynomial:
+def _tutte_rec(g: Multigraph, memo: dict, counts: TutteCache) -> BivariatePolynomial:
     key = canonical_key(g)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
+    result = memo.get(key)
+    if result is not None:
+        counts.hits += 1
+        return result
+    counts.misses += 1
 
     # Peel before branching: drop every loop, then contract every bridge of
     # the loopless rest, highest index first so the lower indices stay put.
@@ -242,10 +226,10 @@ def _tutte_rec(g: Multigraph, cache: TutteCache) -> BivariatePolynomial:
     if work.m == 0:
         result = factor
     else:
-        rest = _tutte_rec(delete(work, 0), cache) + _tutte_rec(contract(work, 0), cache)
+        rest = _tutte_rec(delete(work, 0), memo, counts) + _tutte_rec(contract(work, 0), memo, counts)
         result = factor * rest
 
-    cache.put(key, result)
+    memo[key] = result
     return result
 
 

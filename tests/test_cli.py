@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -108,6 +109,13 @@ class TestVerify:
         code, rep = run_json(capsys, ["verify", "forest-conjecture"])
         assert code == 0 and rep["pass"]
 
+    def test_verify_all_golden(self, tmp_path):
+        # every report key, value and witness of the full suite, byte for byte
+        out = tmp_path / "all.json"
+        assert run(["verify", "all", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "650480681f488cce2855f49c56520862327f594809d1441240c3c5cc5498b7b5"
+
 
 class TestKn:
     def test_kn_report(self, capsys):
@@ -148,10 +156,6 @@ class TestErrors:
 
     def test_unknown_command_usage(self, capsys):
         assert run(["definitely-not-a-command"]) == 1
-
-    def test_cache_env_respected(self, capsys, triangle_file, monkeypatch):
-        monkeypatch.setenv("RCPOTTS_CACHE_SIZE", "16")
-        assert run(["tutte", "--graph", triangle_file]) == 0
 
 
 class TestParserReuse:

@@ -169,7 +169,7 @@ class TestPotts:
     def test_two_point_survives_large_beta(self):
         # tau is a ratio, so the largest energy is shifted out before exp
         assert potts_two_point(triangle(), PottsParams(beta=1000, q=2), 0, 1) == 0.5
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="Z_P overflows a float at beta = 1000"):
             potts_partition(triangle(), PottsParams(beta=1000, q=2))
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])

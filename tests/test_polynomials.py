@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -5,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcpotts.families import connected_multigraphs_upto, graphs_with_few_edges
+from rcpotts.coupling import make_rng
+from rcpotts.families import connected_multigraphs_upto, graphs_with_few_edges, random_multigraph
 from rcpotts.graphs import EnumerationCapExceeded, Multigraph, complete, cycle, path, triangle
 from rcpotts.polynomials import (
     BivariatePolynomial,
@@ -76,19 +79,33 @@ class TestTutte:
         for g in [triangle(), cycle(4), path(4), Multigraph(2, ((0, 1), (0, 1)))]:
             assert eval_poly(tutte_poly(g, cache), 1, 1) == count_spanning_trees(g)
 
-    def test_cache_eviction_keeps_results_correct(self):
-        tiny = TutteCache(max_size=4)
-        assert tutte_poly(cycle(5), tiny) == tutte_poly(cycle(5))
-
     def test_cache_keeps_asked_graphs_not_minors(self):
         cache = TutteCache()
         g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)))
         t = tutte_poly(g, cache)
-        assert len(cache._table) == 1
+        assert len(cache) == 1
         assert cache.misses > 1  # the minors were computed, then dropped
         misses = cache.misses
         assert tutte_poly(g, cache) is t
         assert cache.misses == misses and cache.hits >= 1
+
+    def test_outputs_and_counters_pinned(self):
+        # the polynomials and the hit/miss counts the benchmark reads: every
+        # graph of the family asked twice, then 7-vertex graphs of 13-16 edges
+        def digest(graphs, cache):
+            h = hashlib.sha256()
+            for g in graphs:
+                h.update(json.dumps(tutte_poly(g, cache).to_json_dict()).encode())
+            return h.hexdigest()
+
+        cache = TutteCache()
+        family = [g for g in connected_multigraphs_upto(5, 6) for _ in range(2)]
+        assert digest(family, cache) == "59788b5b9b7ce8e4a42b49c504e5ef649dcaf302edc300b423edeadacd701389"
+        assert (cache.hits, cache.misses) == (722, 1742)
+        cache = TutteCache()
+        large = [random_multigraph(7, m, make_rng(seed), loops=False) for seed, m in enumerate((13, 14, 15, 16))]
+        assert digest(large, cache) == "e7ca79c3e2f2f32bb71cc6cca8b5b46a3a083d0ed6d047f6825a8cf477f3b8df"
+        assert (cache.hits, cache.misses) == (742, 826)
 
     def test_spanning_tree_count_honours_subset_cap(self):
         with pytest.raises(EnumerationCapExceeded):
