@@ -17,8 +17,8 @@ import numpy as np
 
 # The one enumeration budget: the most configurations of each kind that any
 # call may enumerate or store.  "table" counts the entries of an explicit
-# measure table.
-BUDGET = {"subsets": 1 << 24, "spins": 10**7, "flows": 10**8, "table": 1 << 20}
+# measure table, "minors" the entries of one deletion-contraction memo.
+BUDGET = {"subsets": 1 << 24, "spins": 10**7, "flows": 10**8, "table": 1 << 20, "minors": 1 << 18}
 
 
 class EdgeSubsetError(ValueError):
@@ -99,21 +99,25 @@ def open_clusters(g: Multigraph, a: int) -> list[int]:
     x and y are joined by A iff their labels agree.  Union-find over A's
     edges in edge order, u's root absorbing v's; each label is a root.
     Only A's set bits are visited, lowest first."""
-    g.check_subset(a)
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving keeps every root
-        return x
-
     edges = g.edges
+    if a < 0 or a >> len(edges):
+        g.check_subset(a)  # raises EdgeSubsetError
+    parent = list(range(g.n))
     while a:
         low = a & -a
         u, v = edges[low.bit_length() - 1]
-        parent[find(v)] = find(u)
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]  # path halving keeps every root
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        parent[v] = u
         a ^= low
-    return [find(x) for x in range(g.n)]
+    for x in range(g.n):
+        root = parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        parent[x] = root
+    return parent
 
 
 def component_count(g: Multigraph, a: int) -> int:
@@ -300,27 +304,72 @@ def delete(g: Multigraph, e: int) -> Multigraph:
 
 
 def contract(g: Multigraph, e: int) -> Multigraph:
-    """Contract the edge at position ``e``.
-
-    The smaller endpoint absorbs the larger one and vertices above the larger
-    index shift down, so the renumbering is deterministic.  Contracting a loop
-    just deletes it.  Parallel copies of the contracted edge become loops.
-    """
+    """Contract the edge at position ``e``: ``Multigraph`` over the edge
+    tuples of ``_contract_edges``, which fixes the renumbering.  Contracting
+    a loop just deletes it; parallel copies of the contracted edge become
+    loops."""
     if not 0 <= e < g.m:
         raise IndexError(f"edge index {e} out of range")
-    u, v = g.edges[e]
-    if u == v:
-        return delete(g, e)
-    # u < v by normalization: v merges into u, indices > v shift down
-    def remap(x: int) -> int:
-        if x == v:
-            return u
-        return x - 1 if x > v else x
+    return Multigraph(*_contract_edges(g.n, g.edges, e))
 
-    new_edges = tuple(
-        (remap(a), remap(b)) for i, (a, b) in enumerate(g.edges) if i != e
-    )
-    return Multigraph(g.n - 1, new_edges)
+
+def _contract_edges(n: int, edges, e: int) -> tuple[int, list]:
+    """``(n, edges)`` after contracting edge ``e`` of normalised pairs.
+
+    The smaller endpoint u absorbs the larger one v and vertices above v
+    shift down, so the renumbering is deterministic; the other edges keep
+    their order and stay normalised (u <= v).  A loop is just deleted."""
+    u, v = edges[e]
+    rest = edges[:e] + edges[e + 1 :]
+    if u == v:
+        return n, rest
+    r = [*range(v), u, *range(v, n - 1)]
+    # only a pair ending at v can come out of order: (a, v) with u < a
+    return n - 1, [(r[a], r[b]) if b != v or a <= u else (u, r[a]) for a, b in rest]
+
+
+def _bridges(n: int, edges) -> list[int]:
+    """Indices of the bridges of the graph on ``n`` vertices, ascending.
+
+    One iterative lowlink DFS (Tarjan 1974), restarted at every unvisited
+    vertex: tree edge (p, x) is a bridge iff nothing below x reaches p or
+    above by another edge.  The edge into x is skipped by index, not by
+    endpoint, so a parallel copy counts as a way back; a loop never
+    lowers anything.  O(n + m)."""
+    adj = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    disc = [-1] * n
+    low = [0] * n
+    found = []
+    t = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = t
+        t += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            x, via, it = stack[-1]
+            for y, i in it:
+                if disc[y] < 0:
+                    disc[y] = low[y] = t
+                    t += 1
+                    stack.append((y, i, iter(adj[y])))
+                    break
+                if i != via and disc[y] < low[x]:
+                    low[x] = disc[y]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[x] < low[p]:
+                        low[p] = low[x]
+                    elif low[x] > disc[p]:
+                        found.append(via)
+    found.sort()
+    return found
 
 
 def canonical_key(g: Multigraph):
@@ -331,7 +380,12 @@ def canonical_key(g: Multigraph):
     deterministic so deletion-contraction memoization is sound.  The key is
     flat, so a memo entry keeps none of the minor's edge tuples alive.
     """
-    return (g.n, *chain.from_iterable(sorted(g.edges)))
+    return _edges_key(g.n, g.edges)
+
+
+def _edges_key(n: int, edges) -> tuple:
+    """``canonical_key`` of the graph with ``n`` vertices and ``edges``."""
+    return (n, *chain.from_iterable(sorted(edges)))
 
 
 def is_even(g: Multigraph) -> bool:

@@ -15,12 +15,13 @@ from operator import getitem
 
 from .graphs import (
     Multigraph,
+    _bridges,
+    _contract_edges,
+    _edges_key,
     canonical_key,
+    check_budget,
     component_count,
-    contract,
-    delete,
     edge_subsets,
-    open_clusters,
     rank_corank,
     spin_configs,
     subset_size_components,
@@ -180,11 +181,13 @@ class TutteCache:
 def tutte_poly(g: Multigraph, cache: TutteCache | None = None) -> BivariatePolynomial:
     """Tutte polynomial T(x, y) by deletion-contraction.
 
-    Loops and bridges are factored out eagerly (bridge -> factor x, loop ->
-    factor y); any remaining edge is branched on as T = T(delete) +
+    Each minor is peeled before branching: its loops are dropped (factor y
+    each) and the bridges one lowlink pass finds are contracted (factor x
+    each); edge 0 of what is left is branched on as T = T(delete) +
     T(contract).  Satisfies T(x, y) = (x-1)^(|V|-1) W(1/(x-1), y-1) on
-    connected graphs.  The minors are memoised in a table that lives for
-    this call.  Without ``cache`` nothing is kept between calls; ``cache``
+    connected graphs.  The minors are plain ``(n, edges)`` tuples, memoised
+    in a table that lives for this call and holds at most BUDGET["minors"]
+    entries.  Without ``cache`` nothing is kept between calls; ``cache``
     keeps T(g) only, so it grows by one entry per graph asked for, not by
     its hundreds of minors.
     """
@@ -193,14 +196,18 @@ def tutte_poly(g: Multigraph, cache: TutteCache | None = None) -> BivariatePolyn
     key = canonical_key(g)
     result = cache._table.get(key)
     if result is None:
-        result = cache._table[key] = _tutte_rec(g, {}, cache)
+        result = cache._table[key] = BivariatePolynomial(_tutte_rec(g.n, g.edges, {}, cache))
     else:
         cache.hits += 1
     return result
 
 
-def _tutte_rec(g: Multigraph, memo: dict, counts: TutteCache) -> BivariatePolynomial:
-    key = canonical_key(g)
+def _tutte_rec(n: int, edges, memo: dict, counts: TutteCache) -> dict:
+    """The terms of T(x, y) of the minor on ``n`` vertices with the
+    normalised ``edges``, as a dict in the insertion order of
+    ``BivariatePolynomial`` arithmetic.  Every coefficient is positive, so
+    no sum cancels."""
+    key = _edges_key(n, edges)
     result = memo.get(key)
     if result is not None:
         counts.hits += 1
@@ -211,24 +218,23 @@ def _tutte_rec(g: Multigraph, memo: dict, counts: TutteCache) -> BivariatePolyno
     # the loopless rest, highest index first so the lower indices stay put.
     # In a loopless graph contracting a bridge makes no loop and leaves every
     # other edge's bridge status alone, so one pass finds them all.
-    work = Multigraph(g.n, tuple((u, v) for u, v in g.edges if u != v))
-    n_loops = g.m - work.m
-    full = work.full_subset()
-    bridges = []
-    for i, (u, v) in enumerate(work.edges):
-        labels = open_clusters(work, full & ~(1 << i))
-        if labels[u] != labels[v]:
-            bridges.append(i)
+    work = [e for e in edges if e[0] != e[1]]
+    n_loops = len(edges) - len(work)
+    bridges = _bridges(n, work)
     for i in reversed(bridges):
-        work = contract(work, i)
+        n, work = _contract_edges(n, work, i)
 
-    factor = BivariatePolynomial.monomial(len(bridges), n_loops)
-    if work.m == 0:
-        result = factor
+    x, y = len(bridges), n_loops
+    if not work:
+        result = {(x, y): 1}
     else:
-        rest = _tutte_rec(delete(work, 0), memo, counts) + _tutte_rec(contract(work, 0), memo, counts)
-        result = factor * rest
+        result = dict(_tutte_rec(n, work[1:], memo, counts))  # T(delete) + T(contract)
+        for k, c in _tutte_rec(*_contract_edges(n, work, 0), memo, counts).items():
+            result[k] = result.get(k, 0) + c
+        if x or y:
+            result = {(i + x, j + y): c for (i, j), c in result.items()}
 
+    check_budget("minors", len(memo) + 1)
     memo[key] = result
     return result
 

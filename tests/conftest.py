@@ -16,6 +16,16 @@ import pytest
 from rcpotts.graphs import Multigraph
 
 
+def seeded_multigraph(rng, loops: bool) -> Multigraph:
+    """n = 0..8 vertices and up to 12 edges drawn from a few vertex pairs of
+    ``rng`` (a ``random.Random``), so parallel edges, isolated vertices and
+    several components are all common."""
+    n = rng.randrange(9)
+    pairs = [(u, v) for u in range(n) for v in range(u if loops else u + 1, n)]
+    pool = rng.sample(pairs, min(len(pairs), rng.randrange(1, 8)))
+    return Multigraph(n, tuple(rng.choice(pool) for _ in range(rng.randrange(13))) if pool else ())
+
+
 def bfs_component_count(g: Multigraph, a: int) -> int:
     adj = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(g.edges):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from rcpotts.cli import run
+from rcpotts.graphs import BUDGET
 from rcpotts.polynomials import BivariatePolynomial
 
 
@@ -212,6 +213,13 @@ def test_bad_input_exits_with_code(case, capsys, tmp_path, triangle_file):
     argv = [a.format(tri=triangle_file, bad=bad, tmp=tmp_path) for a in BAD_INPUTS[case]]
     assert run(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_tutte_over_the_minors_budget_exits_one(capsys, monkeypatch, triangle_file):
+    monkeypatch.setitem(BUDGET, "minors", 1)  # the triangle's memo needs 5
+    assert run(["tutte", "--graph", triangle_file]) == 1
+    err = capsys.readouterr().err
+    assert "minors above the budget of 1" in err and "Traceback" not in err
 
 
 class TestCsv:

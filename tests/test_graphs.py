@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -17,6 +18,8 @@ from rcpotts.graphs import (
     EdgeSubsetError,
     EnumerationCapExceeded,
     Multigraph,
+    _bridges,
+    _contract_edges,
     canonical_key,
     cluster_labels,
     complete,
@@ -34,8 +37,8 @@ from rcpotts.graphs import (
     triangle,
 )
 from rcpotts.measures import MeasureTable, RCParams, rc_measure_table
-from rcpotts.polynomials import count_spanning_trees, rank_gen_poly
-from .conftest import agreement_oracle, bfs_component_count, bfs_reachable
+from rcpotts.polynomials import TutteCache, count_spanning_trees, rank_gen_poly, tutte_poly
+from .conftest import agreement_oracle, bfs_component_count, bfs_reachable, seeded_multigraph
 
 
 @st.composite
@@ -265,6 +268,62 @@ def test_budget(kernel, monkeypatch):
     monkeypatch.setitem(BUDGET, kind, at - 1)
     with pytest.raises(EnumerationCapExceeded):
         run_at()
+
+
+def test_minors_budget(monkeypatch):
+    """One tutte_poly call memoises at most BUDGET["minors"] minors: a graph
+    whose deletion-contraction builds k of them runs at k and raises at k - 1."""
+    g = complete(5)
+    counts = TutteCache()
+    t = tutte_poly(g, counts)
+    k = counts.misses  # one memo entry per minor computed
+    monkeypatch.setitem(BUDGET, "minors", k)
+    assert tutte_poly(g) == t
+    monkeypatch.setitem(BUDGET, "minors", k - 1)
+    with pytest.raises(EnumerationCapExceeded):
+        tutte_poly(g)
+
+
+class TestBridges:
+    def test_matches_per_edge_union_find(self):
+        """Edge i is a bridge iff the other edges leave its ends apart."""
+        rng = random.Random(17)
+        seen = Counter()
+        for _ in range(600):
+            g = seeded_multigraph(rng, loops=False)
+            full = g.full_subset()
+            expect = [i for i, (u, v) in enumerate(g.edges)
+                      if len(set(open_clusters(g, full & ~(1 << i))[x] for x in (u, v))) == 2]
+            assert _bridges(g.n, g.edges) == expect, g
+            seen[g.n] += 1
+            seen["parallel"] += len(set(g.edges)) < g.m
+            seen["isolated"] += 0 in g.degrees()
+            seen["disconnected"] += component_count(g, full) > 1
+        assert all(seen[k] for k in (0, 1, "parallel", "isolated", "disconnected")), seen
+
+    def test_loops_and_parallel_copies(self):
+        g = Multigraph(5, ((0, 1), (1, 1), (1, 2), (1, 2), (2, 3), (3, 3)))
+        assert _bridges(g.n, g.edges) == [0, 4]
+
+
+def _contract_oracle(g: Multigraph, e: int) -> Multigraph:
+    """The contraction remap spelled out: v merges into u < v, vertices above
+    v shift down, and ``Multigraph`` normalises the pairs."""
+    u, v = g.edges[e]
+    if u == v:
+        return Multigraph(g.n, g.edges[:e] + g.edges[e + 1 :])
+    remap = lambda x: u if x == v else x - (x > v)
+    return Multigraph(g.n - 1, tuple((remap(a), remap(b)) for i, (a, b) in enumerate(g.edges) if i != e))
+
+
+def test_contract_edges_matches_remap_oracle():
+    rng = random.Random(23)
+    for _ in range(300):
+        g = seeded_multigraph(rng, loops=True)
+        for e in range(g.m):
+            n, edges = _contract_edges(g.n, g.edges, e)
+            assert Multigraph(n, tuple(edges)) == contract(g, e) == _contract_oracle(g, e)
+            assert all(a <= b for a, b in edges)
 
 
 class TestRankCorank:

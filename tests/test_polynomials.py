@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from rcpotts.coupling import make_rng
 from rcpotts.families import connected_multigraphs_upto, graphs_with_few_edges, random_multigraph
-from rcpotts.graphs import EnumerationCapExceeded, Multigraph, complete, cycle, path, triangle
+from rcpotts.graphs import EnumerationCapExceeded, Multigraph, complete, cycle, is_connected, path, triangle
 from rcpotts.polynomials import (
     BivariatePolynomial,
     TutteCache,
@@ -24,7 +25,7 @@ from rcpotts.polynomials import (
     tutte_from_rank_gen,
     tutte_poly,
 )
-from .conftest import RATIONAL_POINTS_20, brute_force_flow_count
+from .conftest import RATIONAL_POINTS_20, brute_force_flow_count, seeded_multigraph
 
 F = Fraction
 X = BivariatePolynomial.monomial(1, 0)
@@ -65,6 +66,21 @@ class TestTutte:
         for g in connected_multigraphs_upto(4, 5):
             assert tutte_poly(g, cache) == tutte_from_rank_gen(g)
 
+    def test_matches_rank_gen_route_beyond_connected_graphs(self):
+        # disconnected graphs, isolated vertices, loops and parallel edges,
+        # which the connected family never builds
+        rng = random.Random(5)
+        cache, seen = TutteCache(), set()
+        for _ in range(200):
+            g = seeded_multigraph(rng, loops=True)
+            edges = g.edges
+            assert tutte_poly(g, cache) == tutte_from_rank_gen(g), g
+            seen.update(k for k, flag in (("loop", any(u == v for u, v in edges)),
+                                           ("parallel", len(set(edges)) < len(edges)),
+                                           ("isolated", 0 in g.degrees()),
+                                           ("disconnected", not is_connected(g))) if flag)
+        assert seen == {"loop", "parallel", "isolated", "disconnected"}
+
     def test_w_transform_identity_at_rational_points(self):
         cache = TutteCache()
         for g in connected_multigraphs_upto(4, 5):
@@ -91,20 +107,31 @@ class TestTutte:
 
     def test_outputs_and_counters_pinned(self):
         # the polynomials and the hit/miss counts the benchmark reads: every
-        # graph of the family asked twice, then 7-vertex graphs of 13-16 edges
-        def digest(graphs, cache):
-            h = hashlib.sha256()
+        # graph of the family asked twice, then 7-vertex graphs of 13-16 edges.
+        # The sorted digest pins the terms; the order digest pins their
+        # insertion order too, with T(1.5, 2.5) in floats, since eval_terms
+        # sums float inputs in dict order.
+        def digests(graphs, cache):
+            terms, order, values = hashlib.sha256(), hashlib.sha256(), []
             for g in graphs:
-                h.update(json.dumps(tutte_poly(g, cache).to_json_dict()).encode())
-            return h.hexdigest()
+                t = tutte_poly(g, cache)
+                values.append(eval_poly(t, 1.5, 2.5))
+                terms.update(json.dumps(t.to_json_dict()).encode())
+                order.update(repr((list(t.terms.items()), values[-1])).encode())
+            return terms.hexdigest(), order.hexdigest(), values
 
         cache = TutteCache()
         family = [g for g in connected_multigraphs_upto(5, 6) for _ in range(2)]
-        assert digest(family, cache) == "59788b5b9b7ce8e4a42b49c504e5ef649dcaf302edc300b423edeadacd701389"
+        terms, order, _ = digests(family, cache)
+        assert terms == "59788b5b9b7ce8e4a42b49c504e5ef649dcaf302edc300b423edeadacd701389"
+        assert order == "c48a10d229b2c18a6cd2fc5093dcabd2ec6eb234076aaf2e99b558c00554d2e8"
         assert (cache.hits, cache.misses) == (722, 1742)
         cache = TutteCache()
         large = [random_multigraph(7, m, make_rng(seed), loops=False) for seed, m in enumerate((13, 14, 15, 16))]
-        assert digest(large, cache) == "e7ca79c3e2f2f32bb71cc6cca8b5b46a3a083d0ed6d047f6825a8cf477f3b8df"
+        terms, order, values = digests(large, cache)
+        assert terms == "e7ca79c3e2f2f32bb71cc6cca8b5b46a3a083d0ed6d047f6825a8cf477f3b8df"
+        assert order == "995ae095d43135e6d71e18cb79230677494e34764c063ebbc6e3f5c21f0e681c"
+        assert list(map(repr, values)) == ["10821.6796875", "28739.2578125", "75774.853515625", "194917.2802734375"]
         assert (cache.hits, cache.misses) == (742, 826)
 
     def test_spanning_tree_count_honours_subset_cap(self):
