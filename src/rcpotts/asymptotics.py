@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .graphs import check_budget
+
 ROOT_GRID = 10**4
 
 
@@ -29,41 +31,34 @@ def _root_residual(theta: float, lam: float, q: float) -> float:
 
 
 def theta(lam: float, q: float, root_tol: float = 1e-12) -> float:
-    """Giant-cluster density: 0 below lambda_c, otherwise the largest root
-    of e^(-lam theta) = (1-theta)/(1+(q-1)theta) in [0, 1).
+    """Giant-cluster density: 0 below lambda_c, and at lambda_c for q <= 2
+    (a double root, near which the residual is rounding noise); otherwise the
+    largest root of e^(-lam theta) = (1-theta)/(1+(q-1)theta) in [0, 1).
 
-    The unit interval is scanned on a fine grid for sign changes and the
-    rightmost bracket is bisected, since "largest root" needs global
-    bracketing.
+    "Largest root" needs global bracketing: the grid of ROOT_GRID steps is
+    scanned from the right, and the first step holding a sign change or a
+    zero is bisected.  No step to its right brackets a root, so it is the
+    bracket a scan from the left would keep last.
     """
     if lam <= 0 or q <= 0:
         raise ValueError("lambda and q must be positive")
-    if lam < lambda_c(q):
+    lam_c = lambda_c(q)
+    if lam < lam_c or (lam == lam_c and q <= 2):
         return 0.0
     lo_all = 1e-12
     hi_all = 1.0 - 1e-12
-    grid = [lo_all + (hi_all - lo_all) * i / ROOT_GRID for i in range(ROOT_GRID + 1)]
-    bracket = None
-    prev_t, prev_r = grid[0], _root_residual(grid[0], lam, q)
-    for t in grid[1:]:
-        r = _root_residual(t, lam, q)
-        if prev_r == 0.0:
-            bracket = (prev_t, prev_t)
-        if r == 0.0 or (prev_r < 0) != (r < 0):
-            bracket = (prev_t, t)
-        prev_t, prev_r = t, r
-    if bracket is None:
-        # theta = 0 is always a root; at lam = lambda_c (q <= 2) it is the
-        # largest one and there is no positive bracket to find.
-        if abs(_root_residual(0.0, lam, q)) < 1e-9:
-            return 0.0
-        raise ArithmeticError(
-            f"no sign change of the root equation on (0,1) for lam={lam}, q={q}; "
-            f"residual at 0+ is {_root_residual(lo_all, lam, q):.3e}, "
-            f"at 1- is {_root_residual(hi_all, lam, q):.3e}"
-        )
-    lo, hi = bracket
-    f_lo = _root_residual(lo, lam, q)
+    points = (lo_all + (hi_all - lo_all) * i / ROOT_GRID for i in range(ROOT_GRID, -1, -1))
+    hi = next(points)
+    f_hi = _root_residual(hi, lam, q)
+    for lo in points:
+        f_lo = _root_residual(lo, lam, q)
+        if f_hi == 0.0 or (f_lo < 0) != (f_hi < 0):
+            break
+        if f_lo == 0.0:
+            return lo
+        hi, f_hi = lo, f_lo
+    else:  # theta = 0 is always a root; a positive one below the first grid step has no bracket
+        return 0.0
     while hi - lo > root_tol:
         mid = 0.5 * (lo + hi)
         f_mid = _root_residual(mid, lam, q)
@@ -87,7 +82,10 @@ def g_func(th: float, q: float) -> float:
 
 def eta(lam: float, q: float, root_tol: float = 1e-12) -> float:
     """Limiting free energy: g(theta)/(2q) - (q-1) lam / (2q) + log q."""
-    th = theta(lam, q, root_tol)
+    return _eta_at(theta(lam, q, root_tol), lam, q)
+
+
+def _eta_at(th: float, lam: float, q: float) -> float:
     return g_func(th, q) / (2.0 * q) - (q - 1.0) / (2.0 * q) * lam + math.log(q)
 
 
@@ -101,8 +99,10 @@ def _potts_z_complete(n: int, q: int, w: Fraction) -> Fraction:
 
     A configuration with c_j vertices in state j has sum of C(c_j, 2)
     agreeing edges; summing multinomially over count vectors avoids the
-    q^n enumeration; memoised on (remaining, slots), it takes O(n^2 q) steps.
+    q^n enumeration; memoised on (remaining, slots), it sums at most
+    (q-1)(n+1)(n+2)/2 terms, which BUDGET["kn_terms"] bounds.
     """
+    check_budget("kn_terms", (q - 1) * (n + 1) * (n + 2) // 2)
 
     @lru_cache(maxsize=None)
     def rec(remaining: int, slots: int) -> Fraction:
@@ -128,8 +128,10 @@ def _rc_z_complete(n: int, p: Fraction, q: Fraction) -> Fraction:
         Z_n = sum_k C(n-1, k-1) c_k q r^(k(n-k)) Z_(n-k),  Z_0 = 1,
 
     where c_k, the chance that bond percolation on K_k is connected, solves
-    the same sum at q = 1, where every Z is 1.
+    the same sum at q = 1, where every Z is 1.  Its three sums over k take
+    n(3n+1)/2 terms in all, which BUDGET["kn_terms"] bounds.
     """
+    check_budget("kn_terms", n * (3 * n + 1) // 2)
     r = 1 - p
     c, z = [], [Fraction(1)]  # c[k - 1] = c_k, z[j] = Z_j
     for j in range(1, n + 1):
@@ -161,7 +163,8 @@ def empirical_rate(n: int, lam: float, q) -> float:
 
 def convergence_report(q, lam: float, n_list, gap_threshold: float = 0.2) -> dict:
     """Empirical rates against the limiting eta, with the regime flag."""
-    target = eta(lam, float(q))
+    th = theta(lam, float(q))
+    target = _eta_at(th, lam, float(q))
     rows = []
     for n in n_list:
         rate = empirical_rate(n, lam, q)
@@ -173,7 +176,7 @@ def convergence_report(q, lam: float, n_list, gap_threshold: float = 0.2) -> dic
         "q": float(q),
         "lambda": lam,
         "lambda_c": lambda_c(float(q)),
-        "theta": theta(lam, float(q)),
+        "theta": th,
         "eta": target,
         "rows": rows,
         "monotone": monotone,

@@ -17,8 +17,9 @@ import numpy as np
 
 # The one enumeration budget: the most configurations of each kind that any
 # call may enumerate or store.  "table" counts the entries of an explicit
-# measure table, "minors" the entries of one deletion-contraction memo.
-BUDGET = {"subsets": 1 << 24, "spins": 10**7, "flows": 10**8, "table": 1 << 20, "minors": 1 << 18}
+# measure table, "minors" the entries of one deletion-contraction memo,
+# "kn_terms" the terms one exact recursion on the complete graph K_n sums.
+BUDGET = {"subsets": 1 << 24, "spins": 10**7, "flows": 10**8, "table": 1 << 20, "minors": 1 << 18, "kn_terms": 1 << 14}
 
 
 class EdgeSubsetError(ValueError):
@@ -279,6 +280,70 @@ def subset_counts(g: Multigraph, pairs=()) -> tuple[Counter, dict]:
         for pair, row in zip(pairs, joined)
     }
     return counts, hits
+
+
+SPIN_CROSSOVER = 24  # configurations from which numpy blocks beat the generator
+SPIN_BLOCK_ENTRIES = 1 << 16  # digits and agreements per block of spin configurations
+
+
+def _exponent(couplings):
+    """Map an agreement mask to its coupling exponent (default J_e = 1)."""
+    if couplings is None:
+        return int.bit_count
+    return lambda agree: sum(j for i, j in enumerate(couplings) if agree >> i & 1)
+
+
+def spin_counts(g: Multigraph, q: int, couplings=None, pairs=()) -> tuple[Counter, dict]:
+    """``(counts, hits)``: the spin configurations per coupling exponent, the
+    sum of the integer couplings J_e (default 1) over the edges whose ends
+    agree (a loop always does), and for each vertex pair (x, y) in ``pairs``
+    the same tally over those with sigma_x = sigma_y.  Counts are exact ints,
+    each tally's keys in the order ``spin_configs`` first meets them.
+
+    From SPIN_CROSSOVER configurations on, a numpy block holds all tail
+    configurations of the last k vertices, k the most that keeps a block's
+    digit and agreement rows within SPIN_BLOCK_ENTRIES, and the head prefixes
+    fill in the rest in product order.  Digit row n stays 0, so the pair
+    (n, n) counts the total.  Tally t keeps exponent j in slot
+    t * width + j - lo, so one bincount tallies a block, and the least
+    position met orders each slot.  Nothing is kept between calls.
+    """
+    check_budget("spins", q**g.n)
+    pairs = list(dict.fromkeys(pairs))
+    if not all(0 <= x < g.n for pair in pairs for x in pair):
+        raise ValueError("vertex out of range")
+    if q**g.n < SPIN_CROSSOVER:
+        exponent = _exponent(couplings)
+        counts, hits = Counter(), {pair: Counter() for pair in pairs}
+        for s, agree in spin_configs(g, q):
+            j = exponent(agree)
+            counts[j] += 1
+            for (x, y), hit in hits.items():
+                if s[x] == s[y]:
+                    hit[j] += 1
+        return counts, hits
+
+    n, js = g.n, [1] * g.m if couplings is None else list(couplings)
+    lo, width = sum(j for j in js if j < 0), sum(map(abs, js)) + 1
+    ends = np.array([*g.edges, (n, n), *pairs], dtype=np.intp).T  # one agreement row each
+    k = max((t for t in range(n + 1) if q**t * (n + 1 + len(ends[0])) <= SPIN_BLOCK_ENTRIES), default=0)
+    digits = np.zeros((n + 1, q**k), dtype=np.min_scalar_type(q - 1))  # column c: tail configuration c
+    digits[n - k : n] = np.indices((q,) * k, dtype=digits.dtype).reshape(k, q**k)
+    js, offsets = np.array(js, dtype=np.int64), width * np.arange(len(pairs) + 1)[:, None] - lo
+    tally = np.zeros((len(pairs) + 1) * width, dtype=np.int64)
+    span = q**k * (len(pairs) + 1)  # the most keys of one block
+    first = np.full(len(tally), q ** (n - k) * span)  # least position of each slot, blocks in turn
+    for b, prefix in enumerate(product(range(q), repeat=n - k)):
+        digits[: n - k].T[...] = prefix
+        agree = digits[ends[0]] == digits[ends[1]]
+        exps = agree[: g.m].sum(axis=0) if couplings is None else js @ agree[: g.m]  # @ copies agree to int64
+        keys = (exps + offsets)[agree[g.m :]]  # the total, then each pair
+        np.minimum.at(first, keys, np.arange(b * span, b * span + len(keys)))
+        tally += np.bincount(keys, minlength=len(tally))
+    counts, pos, totals = [Counter() for _ in range(len(pairs) + 1)], first.tolist(), tally.tolist()
+    for slot in sorted((slot for slot, c in enumerate(totals) if c), key=pos.__getitem__):
+        counts[slot // width][slot % width + lo] = totals[slot]
+    return counts[0], dict(zip(pairs, counts[1:]))
 
 
 def subset_size_components(g: Multigraph) -> Counter:

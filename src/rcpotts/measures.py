@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import Multigraph, check_budget, edge_subsets, is_connected, spin_configs, subset_counts, subset_size_components
+from .graphs import (Multigraph, _exponent, check_budget, edge_subsets, is_connected, spin_configs, spin_counts,
+                     subset_counts, subset_size_components)
 from .polynomials import TutteCache, eval_poly, eval_terms, tutte_poly
 
 
@@ -125,35 +126,13 @@ def rc_connection_prob(g: Multigraph, params: RCParams, x: int, y: int) -> Fract
 # Potts side.  A configuration's coupling exponent sums J_e over its agreeing
 # edges; the exact route takes w = e^beta as a Fraction, weight w^exponent.
 
-def _exponent(couplings):
-    """Map an agreement mask to its coupling exponent (default J_e = 1)."""
-    if couplings is None:
-        return int.bit_count
-    return lambda agree: sum(j for i, j in enumerate(couplings) if agree >> i & 1)
-
-
-def _exponent_counts(g: Multigraph, q: int, couplings, pairs):
-    """Configurations counted per coupling exponent, in total and, for each
-    vertex pair in ``pairs``, among those with sigma_x = sigma_y."""
-    exponent = _exponent(couplings)
-    counts = Counter()
-    hits = {pair: Counter() for pair in pairs}
-    for s, agree in spin_configs(g, q):
-        j = exponent(agree)
-        counts[j] += 1
-        for (x, y), hit in hits.items():
-            if s[x] == s[y]:
-                hit[j] += 1
-    return counts, hits
-
-
 def _weigh(counts, w: Fraction) -> Fraction:
     return eval_terms({(j,): c for j, c in counts.items()}, w)
 
 
 def potts_partition_exact(g: Multigraph, q: int, w: Fraction, couplings=None) -> Fraction:
     """Z_P with e^beta = w exact; integer couplings only (default all +1)."""
-    return _weigh(_exponent_counts(g, q, couplings, ())[0], Fraction(w))
+    return _weigh(spin_counts(g, q, couplings)[0], Fraction(w))
 
 
 def potts_measure_table(g: Multigraph, q: int, w: Fraction, couplings=None) -> MeasureTable:
@@ -181,13 +160,13 @@ def _float_sums(terms, width: int):
 def _potts_float_sums(g: Multigraph, params: PottsParams, pairs):
     """``(top, z, hits)``: Z_P = e^top z and e^top hits[pair] its part where sigma_x = sigma_y."""
     beta, fields = params.beta, params.fields
-    if fields is None:
-        counts, hits = _exponent_counts(g, params.q, params.couplings, pairs)
+    if fields is None and all(isinstance(j, int) for j in params.couplings or ()):
+        counts, hits = spin_counts(g, params.q, params.couplings, pairs)
         terms = [(beta * j, c, [hit[j] for hit in hits.values()]) for j, c in counts.items()]
-    else:
+    else:  # one term per configuration: fields, or couplings that are not ints
         exponent = _exponent(params.couplings)
         terms = (
-            (beta * (exponent(agree) + sum(f[x] for f, x in zip(fields, s))), 1, [s[x] == s[y] for x, y in pairs])
+            (beta * (exponent(agree) + sum(f[x] for f, x in zip(fields or (), s))), 1, [s[x] == s[y] for x, y in pairs])
             for s, agree in spin_configs(g, params.q)
         )
     top, z, acc = _float_sums(terms, len(pairs))
@@ -217,7 +196,7 @@ def potts_two_point(g: Multigraph, params: PottsParams, x: int, y: int) -> float
 
 def _potts_two_points_exact(g: Multigraph, q: int, w: Fraction, pairs) -> dict:
     """tau(x,y) for each vertex pair in ``pairs``, in one spin pass."""
-    counts, hits = _exponent_counts(g, q, None, pairs)
+    counts, hits = spin_counts(g, q, pairs=pairs)
     w = Fraction(w)
     z = _weigh(counts, w)
     return {pair: _weigh(hit, w) / z - Fraction(1, q) for pair, hit in hits.items()}
@@ -334,7 +313,7 @@ def zero_temperature_check(g: Multigraph, q: int, beta_schedule, rel_tol: float 
 
     chi = float(eval_poly(chromatic_poly(g), Fraction(q), Fraction(0)))
     params = PottsParams(beta=0.0, q=q, couplings=tuple([-1] * g.m))  # beta is set per sum below
-    counts = _exponent_counts(g, params.q, params.couplings, ())[0]  # one enumeration for every beta
+    counts = spin_counts(g, params.q, params.couplings)[0]  # one enumeration for every beta
     sums = [_float_sums(((b * j, c, ()) for j, c in counts.items()), 0) for b in beta_schedule]
     values = [math.exp(top) * z for top, z, _ in sums]
     gaps = [abs(v - chi) for v in values]

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -44,7 +47,11 @@ class TestTheta:
         assert theta(1.9, 2.0) == 0.0
 
     def test_zero_at_critical_q_le_two(self):
-        assert theta(2.0, 2.0) == 0.0
+        # theta = 0 is a double root at lambda_c = q: the residual near it is
+        # rounding noise, from which no grid bracket may be read
+        for q in (0.25, 0.5, 0.9, 1.0, 1.2, 1.5, 1.9, 2.0):
+            assert theta(q, q) == 0.0
+            assert eta(q, q) == pytest.approx(math.log(q) - (q - 1.0) / 2.0, abs=1e-15)
 
     def test_percolation_matches_classic_equation(self):
         # q = 1: the root equation reduces to 1 - theta = e^(-lam theta)
@@ -63,6 +70,32 @@ class TestTheta:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             theta(-1.0, 2.0)
+
+
+def _pinned_points():
+    """The benchmark's (lam, q) grid, lambda_c(q) (1 +- 1e-12) for q > 2 and
+    320 seeded points with 0.2 < q < 12, half of them above lambda_c."""
+    points = [(lam, q) for lam in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0) for q in (2.0, 3.0)]
+    points += [(lambda_c(q) * (1 + s), q) for q in (2.5, 3.0, 4.0, 10.0) for s in (-1e-12, 0.0, 1e-12)]
+    rng = random.Random(19)
+    for i in range(320):
+        q = rng.uniform(0.2, 12.0)
+        points.append((lambda_c(q) * rng.uniform(1.0, 4.0) if i % 2 else rng.uniform(0.05, 12.0), q))
+    return points
+
+
+def test_values_pinned():
+    """Every float of theta, eta and convergence_report is pinned: a SHA-256
+    over their reprs and the reports' JSON."""
+    h = hashlib.sha256()
+    for lam, q in _pinned_points():
+        h.update(f"{lam!r}:{q!r}:{theta(lam, q)!r}:{eta(lam, q)!r};".encode())
+    for q in (2, 3):
+        for lam in (0.5, 1.0, 1.5, 2.0, 3.0):
+            h.update(json.dumps(convergence_report(q, lam, [4, 8, 12, 14])).encode())
+    for q, lam in ((F(1, 2), 1.0), (1.5, 2.5), (F(5, 2), 3.0)):
+        h.update(json.dumps(convergence_report(q, lam, [4, 6, 9])).encode())
+    assert h.hexdigest() == "0ceca7577ef474c4d467f6eb33e7d7ddfef0d2a41063103b07a52c348113cb8e"
 
 
 class TestEta:

@@ -195,6 +195,8 @@ BAD_INPUTS = {
     "rc-partition-out-unwritable": ["rc-partition", "--graph", "{tri}", "--p", "1/2", "--q", "2",
                                     "--out", "{tmp}/no-such-dir/out.json"],
     "kn-n": ["kn", "--q", "2", "--lambda", "1", "--n", "abc"],
+    "kn-n-budget-potts": ["kn", "--q", "3", "--lambda", "1", "--n", "4,1000"],
+    "kn-n-budget-cluster": ["kn", "--q", "1.5", "--lambda", "1", "--n", "1000"],
     "flow-count-budget": ["flow-count", "--graph", "{tri}", "--q", "100000"],
     "verify-corrconn-p": ["verify", "corrconn", "--p", "1"],
     "verify-partition-q": ["verify", "partition", "--q", "3/2"],

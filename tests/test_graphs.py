@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcpotts import graphs
+from rcpotts.asymptotics import _potts_z_complete, _rc_z_complete, empirical_rate
 from rcpotts.coupling import JointConfig, joint_table, kernel_step_distribution, make_rng
 from rcpotts.families import random_multigraph
 from rcpotts.flows import count_flows
@@ -33,6 +35,7 @@ from rcpotts.graphs import (
     path,
     rank_corank,
     spin_configs,
+    spin_counts,
     subset_counts,
     triangle,
 )
@@ -227,6 +230,70 @@ class TestSpinConfigs:
             next(spin_configs(complete(16), 3))
 
 
+def _spin_tally_oracle(g: Multigraph, q: int, couplings, pairs):
+    """Configurations per coupling exponent, in total and per pair where it
+    agrees, from ``agreement_oracle`` on every configuration in turn."""
+    js = [1] * g.m if couplings is None else couplings
+    counts, hits = Counter(), {pair: Counter() for pair in pairs}
+    for s in product(range(q), repeat=g.n):
+        agree = agreement_oracle(g, s)
+        j = sum(js[i] for i in range(g.m) if agree >> i & 1)
+        counts[j] += 1
+        for (x, y), hit in hits.items():
+            if s[x] == s[y]:
+                hit[j] += 1
+    return counts, hits
+
+
+def _check_spin_counts(monkeypatch, g: Multigraph, q: int, couplings=None, pairs=()):
+    """spin_counts on both sides of the crossover against the oracle, keys
+    in the order each tally first meets them."""
+    want_counts, want_hits = _spin_tally_oracle(g, q, couplings, pairs)
+    for crossover in (0, q**g.n + 1):
+        monkeypatch.setattr(graphs, "SPIN_CROSSOVER", crossover)
+        counts, hits = spin_counts(g, q, couplings, pairs)
+        assert list(counts.items()) == list(want_counts.items())
+        assert [(p, list(h.items())) for p, h in hits.items()] == [(p, list(h.items())) for p, h in want_hits.items()]
+
+
+class TestSpinCounts:
+    def test_matches_agreement_oracle(self, monkeypatch):
+        """300 seeded multigraphs with loops, parallel edges and isolated
+        vertices, with vertex pairs and with nonzero couplings of either sign."""
+        rng = random.Random(29)
+        for i in range(300):
+            g = seeded_multigraph(rng, loops=True)
+            q = rng.choice((2, 3, 4))
+            while q > 2 and q**g.n > 2000:
+                q -= 1
+            couplings = [rng.choice((-3, -2, -1, 1, 2, 4)) for _ in g.edges] if i % 3 else None
+            pairs = [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(rng.randrange(4))] if g.n else []
+            _check_spin_counts(monkeypatch, g, q, couplings, pairs)
+
+    def test_no_vertex_and_one_vertex(self, monkeypatch):
+        _check_spin_counts(monkeypatch, Multigraph(0), 3)
+        _check_spin_counts(monkeypatch, Multigraph(1), 2, pairs=[(0, 0)])
+        _check_spin_counts(monkeypatch, Multigraph(1, ((0, 0), (0, 0))), 4, [-2, 3], [(0, 0)])
+
+    @pytest.mark.parametrize("pair", [(0, 3), (-1, 0)])
+    def test_vertex_out_of_range(self, pair, monkeypatch):
+        for crossover in (0, 28):
+            monkeypatch.setattr(graphs, "SPIN_CROSSOVER", crossover)
+            with pytest.raises(ValueError, match="vertex out of range"):
+                spin_counts(triangle(), 3, pairs=[pair])
+
+    def test_several_blocks(self, monkeypatch):
+        """3^10 configurations of C10 take several blocks at the default
+        size, and small blocks split seeded graphs at every head digit."""
+        _check_spin_counts(monkeypatch, cycle(10), 3, pairs=[(0, 5), (3, 4)])
+        monkeypatch.setattr(graphs, "SPIN_BLOCK_ENTRIES", 40)
+        rng = random.Random(31)
+        for _ in range(40):
+            g = seeded_multigraph(rng, loops=True)
+            couplings = [rng.choice((-2, -1, 1, 3)) for _ in g.edges]
+            _check_spin_counts(monkeypatch, g, 3 if g.n < 7 else 2, couplings, [(0, g.n - 1)] if g.n else [])
+
+
 def _kernel_step(g: Multigraph, q: int):
     """One exact kernel step from the point mass on all-zero spins, no bonds."""
     point = MeasureTable(("joint", g.n, q, g.m), {JointConfig((0,) * g.n, 0): Fraction(1)})
@@ -245,6 +312,8 @@ BUDGET_CASES = {
                       lambda: subset_counts(BUNDLE_25)),
     "spin_configs": ("spins", 27, lambda: list(spin_configs(triangle(), 3)),
                      lambda: next(spin_configs(Multigraph(15), 3))),  # 3^15 > 10^7 > 3^14
+    "spin_counts": ("spins", 27, lambda: spin_counts(triangle(), 3, pairs=[(0, 1)]),
+                    lambda: spin_counts(Multigraph(15), 3)),
     "count_flows": ("flows", 8, lambda: count_flows(triangle(), 3),
                     lambda: count_flows(Multigraph(2, ((0, 1),)), 10**8 + 2)),  # 10^8 + 1 values
     "rc_measure_table": ("table", 8, lambda: rc_measure_table(triangle(), RC),
@@ -282,6 +351,23 @@ def test_minors_budget(monkeypatch):
     monkeypatch.setitem(BUDGET, "minors", k - 1)
     with pytest.raises(EnumerationCapExceeded):
         tutte_poly(g)
+
+
+@pytest.mark.parametrize(("q", "recursion", "terms"), [
+    (3, lambda: _potts_z_complete.__wrapped__(6, 3, Fraction(4, 3)), 2 * 7 * 8 // 2),  # (q-1)(n+1)(n+2)/2
+    (1.5, lambda: _rc_z_complete(6, Fraction(1, 4), Fraction(3, 2)), 6 * 19 // 2),  # n(3n+1)/2
+], ids=["potts", "cluster"])
+def test_kn_terms_budget(q, recursion, terms, monkeypatch):
+    """Each exact recursion on K_n checks BUDGET["kn_terms"] before it sums:
+    empirical_rate at n = 1000 raises at the default, and the recursion runs
+    at exactly its term count and raises one below."""
+    with pytest.raises(EnumerationCapExceeded):
+        empirical_rate(1000, 1.5, q)
+    monkeypatch.setitem(BUDGET, "kn_terms", terms)
+    recursion()
+    monkeypatch.setitem(BUDGET, "kn_terms", terms - 1)
+    with pytest.raises(EnumerationCapExceeded):
+        recursion()
 
 
 class TestBridges:

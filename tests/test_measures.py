@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -6,7 +8,7 @@ import pytest
 
 from rcpotts.coupling import make_rng
 from rcpotts.families import connected_multigraphs_upto, random_multigraph, simple_graphs
-from rcpotts.graphs import EnumerationCapExceeded, SUBSET_CROSSOVER, Multigraph, complete, cycle, triangle
+from rcpotts.graphs import EnumerationCapExceeded, SUBSET_CROSSOVER, Multigraph, complete, cycle, spin_counts, triangle
 from rcpotts.measures import (
     MeasureTable,
     PottsParams,
@@ -30,7 +32,8 @@ from rcpotts.measures import (
 )
 from rcpotts.polynomials import multivariate_tutte
 
-from .conftest import bfs_component_count, bfs_reachable
+from .conftest import bfs_component_count, bfs_reachable, seeded_multigraph
+from .test_graphs import petersen
 
 F = Fraction
 EDGE = Multigraph(2, ((0, 1),))
@@ -229,6 +232,46 @@ class TestPotts:
             z += w
             num += w * (1 + s[0] * s[1]) / 2
         assert pi_agree == pytest.approx(num / z, rel=1e-12)
+
+
+def torus(k: int) -> Multigraph:
+    return Multigraph(k * k, tuple(
+        e for r in range(k) for c in range(k)
+        for e in ((k * r + c, k * r + (c + 1) % k), (k * r + c, k * ((r + 1) % k) + c))
+    ))
+
+
+def _pinned_spin_inputs():
+    """(g, q, couplings, pairs): 120 seeded multigraphs with loops, some
+    with nonzero couplings of either sign, then Petersen, the 3x3 torus and
+    C12 with the default couplings."""
+    rng = random.Random(23)
+    for i in range(120):
+        g = seeded_multigraph(rng, loops=True)
+        q = rng.choice((2, 3, 4))
+        while q > 2 and q**g.n > 4096:
+            q -= 1
+        couplings = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in g.edges) if i % 2 else None
+        pairs = [tuple(rng.sample(range(g.n), 2)) for _ in range(rng.randrange(4))] if g.n > 1 else []
+        yield g, q, couplings, pairs
+    for g, qs in ((petersen(), (2, 3)), (torus(3), (2, 3)), (cycle(12), (2,))):
+        for q in qs:
+            yield g, q, None, [(0, 1), (0, g.n // 2), (g.n - 1, 2)]
+
+
+def test_spin_tallies_pinned():
+    """The spin tallies keep their counts and the order of their keys, and
+    the float two-point function its values: a SHA-256 over both."""
+    h = hashlib.sha256()
+    for g, q, couplings, pairs in _pinned_spin_inputs():
+        counts, hits = spin_counts(g, q, couplings, pairs)
+        h.update(repr((list(counts.items()), [(pair, list(hit.items())) for pair, hit in hits.items()])).encode())
+        for beta in (0.3, 1.1):
+            params = PottsParams(beta=beta, q=q, couplings=couplings)
+            h.update(repr(potts_partition(g, params)).encode())
+            if pairs:
+                h.update(repr(potts_two_point(g, params, *pairs[0])).encode())
+    assert h.hexdigest() == "9be5637f1798c339ddaa812af069ded4f962e8dfb3290794867166e4b65c2b7a"
 
 
 class TestIdentities:
