@@ -30,15 +30,17 @@ def _root_residual(theta: float, lam: float, q: float) -> float:
     return math.exp(-lam * theta) - (1.0 - theta) / (1.0 + (q - 1.0) * theta)
 
 
-def theta(lam: float, q: float, root_tol: float = 1e-12) -> float:
+def theta(lam: float, q: float) -> float:
     """Giant-cluster density: 0 below lambda_c, and at lambda_c for q <= 2
     (a double root, near which the residual is rounding noise); otherwise the
     largest root of e^(-lam theta) = (1-theta)/(1+(q-1)theta) in [0, 1).
 
     "Largest root" needs global bracketing: the grid of ROOT_GRID steps is
     scanned from the right, and the first step holding a sign change or a
-    zero is bisected.  No step to its right brackets a root, so it is the
-    bracket a scan from the left would keep last.
+    zero is bisected to 1e-12.  No step to its right brackets a root, so it
+    is the bracket a scan from the left would keep last.  At the grid's left
+    end both terms of the residual round to the same float, so there it is
+    summed without cancellation.
     """
     if lam <= 0 or q <= 0:
         raise ValueError("lambda and q must be positive")
@@ -51,15 +53,15 @@ def theta(lam: float, q: float, root_tol: float = 1e-12) -> float:
     hi = next(points)
     f_hi = _root_residual(hi, lam, q)
     for lo in points:
-        f_lo = _root_residual(lo, lam, q)
+        f_lo = _root_residual(lo, lam, q) if lo > lo_all else math.expm1(-lam * lo) + q * lo / (1.0 + (q - 1.0) * lo)
         if f_hi == 0.0 or (f_lo < 0) != (f_hi < 0):
             break
         if f_lo == 0.0:
             return lo
         hi, f_hi = lo, f_lo
-    else:  # theta = 0 is always a root; a positive one below the first grid step has no bracket
+    else:  # theta = 0 is always a root; a positive one below the left end has no bracket
         return 0.0
-    while hi - lo > root_tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         f_mid = _root_residual(mid, lam, q)
         if f_mid == 0.0:
@@ -80,9 +82,9 @@ def g_func(th: float, q: float) -> float:
     ) * math.log1p((q - 1.0) * th)
 
 
-def eta(lam: float, q: float, root_tol: float = 1e-12) -> float:
+def eta(lam: float, q: float) -> float:
     """Limiting free energy: g(theta)/(2q) - (q-1) lam / (2q) + log q."""
-    return _eta_at(theta(lam, q, root_tol), lam, q)
+    return _eta_at(theta(lam, q), lam, q)
 
 
 def _eta_at(th: float, lam: float, q: float) -> float:
@@ -95,30 +97,20 @@ def _log_fraction(x: Fraction) -> float:
 
 @lru_cache(maxsize=None)
 def _potts_z_complete(n: int, q: int, w: Fraction) -> Fraction:
-    """Z_P on K_n with e^beta = w, exactly, by recursion over spin counts.
+    """Z_P on K_n with e^beta = w, exactly, by a sum over spin counts.
 
-    A configuration with c_j vertices in state j has sum of C(c_j, 2)
-    agreeing edges; summing multinomially over count vectors avoids the
-    q^n enumeration; memoised on (remaining, slots), it sums at most
+    A state holding c vertices has C(c, 2) agreeing edges.  With z[r] the
+    sum for r vertices over the states so far, one state more makes it
+    sum_c C(r, c) w^C(c, 2) z[r - c]; this avoids the q^n enumeration.  The
+    last state is added at r = n only, so the sum takes at most
     (q-1)(n+1)(n+2)/2 terms, which BUDGET["kn_terms"] bounds.
     """
     check_budget("kn_terms", (q - 1) * (n + 1) * (n + 2) // 2)
-
-    @lru_cache(maxsize=None)
-    def rec(remaining: int, slots: int) -> Fraction:
-        # sum over c = count in the current spin state
-        if slots == 1:
-            return w ** (remaining * (remaining - 1) // 2)
-        total = Fraction(0)
-        for c in range(remaining + 1):
-            total += (
-                Fraction(math.comb(remaining, c))
-                * w ** (c * (c - 1) // 2)
-                * rec(remaining - c, slots - 1)
-            )
-        return total
-
-    return rec(n, q)
+    z = inner = [w ** (c * (c - 1) // 2) for c in range(n + 1)]
+    for s in range(2, q + 1):
+        rs = range(n if s == q else 0, n + 1)
+        z = [sum(math.comb(r, c) * inner[c] * z[r - c] for c in range(r + 1)) for r in rs]
+    return z[-1]
 
 
 def _rc_z_complete(n: int, p: Fraction, q: Fraction) -> Fraction:
@@ -161,8 +153,9 @@ def empirical_rate(n: int, lam: float, q) -> float:
     return log_z / n
 
 
-def convergence_report(q, lam: float, n_list, gap_threshold: float = 0.2) -> dict:
-    """Empirical rates against the limiting eta, with the regime flag."""
+def convergence_report(q, lam: float, n_list) -> dict:
+    """Empirical rates against the limiting eta, with the regime flag; it
+    passes when the gaps fall monotonically and the last is below 0.2."""
     th = theta(lam, float(q))
     target = _eta_at(th, lam, float(q))
     rows = []
@@ -182,5 +175,5 @@ def convergence_report(q, lam: float, n_list, gap_threshold: float = 0.2) -> dic
         "monotone": monotone,
         "within_regime": float(q) >= 1,
         "instances": len(rows),
-        "pass": monotone and gaps[-1] < gap_threshold,
+        "pass": monotone and gaps[-1] < 0.2,
     }

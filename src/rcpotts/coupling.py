@@ -220,11 +220,11 @@ def sw_sample(g: Multigraph, p: float, q: int, cfg: SamplerConfig, stream: int =
         yield JointConfig(spins, bonds)
 
 
-def batch_means(values, n_batches: int = 32) -> tuple[float, float]:
-    """Sample mean and batch-means standard error."""
+def batch_means(values) -> tuple[float, float]:
+    """Sample mean and batch-means standard error over at most 32 batches."""
     values = np.asarray(values, dtype=float)
     mean = float(values.mean())
-    n_batches = min(n_batches, len(values))
+    n_batches = min(32, len(values))
     if n_batches < 2:
         return mean, 0.0
     usable = len(values) - len(values) % n_batches

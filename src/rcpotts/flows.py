@@ -277,11 +277,9 @@ def separating_sets(g: Multigraph, x: int, z: int, max_size: int = 4):
     return found
 
 
-def simon_check(
-    g: Multigraph, p: Fraction, q: Fraction, x: int, z: int, max_w: int = 4
-) -> dict:
+def simon_check(g: Multigraph, p: Fraction, q: Fraction, x: int, z: int) -> dict:
     """Evaluate phi(x<->z) <= sum over y in W of phi(x<->y) phi(y<->z) for
-    every separating set W up to the size cap, in exact arithmetic.
+    every separating set W of at most 4 vertices, in exact arithmetic.
 
     Proven for q = 2 and q = 1; for other q in [1,2] this is a conjecture
     harness and any violation is reported verbatim.
@@ -296,7 +294,7 @@ def simon_check(
     lhs = phi[x, z]
     violations = []
     checked = 0
-    for w in separating_sets(g, x, z, max_w):
+    for w in separating_sets(g, x, z):
         rhs = sum(phi[x, y] * phi[y, z] for y in w)
         checked += 1
         if lhs > rhs:
@@ -313,7 +311,7 @@ def simon_check(
     return {
         "identity": "simon",
         "instances": checked,
-        "separator_cap": max_w,
+        "separator_cap": 4,
         "violations": violations,
         "pass": not violations,
     }

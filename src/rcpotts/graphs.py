@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
-from operator import or_
 
 import numpy as np
 
@@ -156,30 +155,11 @@ def edge_subsets(g: Multigraph):
 def spin_configs(g: Multigraph, q: int):
     """Yield ``(sigma, agree)`` for every sigma in {0..q-1}^V, in
     ``itertools.product(range(q), repeat=n)`` order; bit i of ``agree`` is
-    set iff edge i's endpoints have equal spins (a loop always agrees).
-
-    The last k vertices form a tail of at most 256 spin tuples.  Per prefix
-    of the other (head) vertices, each tail vertex's edges into the head
-    give one mask per spin, so a configuration costs one tuple and one OR."""
+    set iff edge i's endpoints have equal spins (a loop always agrees)."""
     check_budget("spins", q**g.n)
-    k = g.n
-    while k > 1 and q**k > 256:
-        k -= 1
-    h = g.n - k
-    head, tail, cross = [], [], [[] for _ in range(k)]
-    for i, (u, v) in enumerate(g.edges):  # u <= v
-        (head if v < h else tail if u >= h else cross[v - h]).append((u, v, 1 << i))
-    tails = list(product(range(q), repeat=k))
-    tail_agree = [sum(bit for u, v, bit in tail if t[u - h] == t[v - h]) for t in tails]
-    for prefix in product(range(q), repeat=h):
-        # outer[t]: which head edges and head-tail edges agree under prefix + t
-        outer = [sum(bit for u, v, bit in head if prefix[u] == prefix[v])]
-        for edges in cross:
-            by_spin = [0] * q
-            for u, _, bit in edges:
-                by_spin[prefix[u]] |= bit
-            outer = [a | b for a in outer for b in by_spin]
-        yield from zip(map(prefix.__add__, tails), map(or_, outer, tail_agree))
+    edges = [(u, v, 1 << i) for i, (u, v) in enumerate(g.edges)]
+    for s in product(range(q), repeat=g.n):
+        yield s, sum(bit for u, v, bit in edges if s[u] == s[v])
 
 
 SUBSET_CROSSOVER = 6  # edges from which numpy blocks beat the generator

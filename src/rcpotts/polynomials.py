@@ -23,7 +23,7 @@ from .graphs import (
     component_count,
     edge_subsets,
     rank_corank,
-    spin_configs,
+    spin_counts,
     subset_size_components,
 )
 
@@ -315,8 +315,9 @@ def flow_poly(g: Multigraph) -> BivariatePolynomial:
 
 
 def count_proper_colourings(g: Multigraph, q: int) -> int:
-    """Brute-force proper-colouring count; the oracle for chromatic_poly."""
-    return sum(not agree for _, agree in spin_configs(g, q))
+    """Brute-force proper-colouring count, the oracle for chromatic_poly: the
+    configurations with no agreeing edge (a loop always agrees)."""
+    return spin_counts(g, q)[0][0]
 
 
 def count_spanning_trees(g: Multigraph) -> int:

@@ -2,11 +2,13 @@ import hashlib
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from rcpotts.asymptotics import (
+    ROOT_GRID,
     _potts_z_complete,
     _rc_z_complete,
     _root_residual,
@@ -41,6 +43,23 @@ class TestLambdaC:
             lambda_c(0.0)
 
 
+def _decimal_root(lam: float, q: float, lo=Decimal("1e-12"), hi=Decimal("1e-4")) -> float:
+    """The root of e^(-lam t) = (1-t)/(1+(q-1)t) in (lo, hi), bisected in
+    50-digit decimals, where the residual has no cancellation to speak of."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam, q = Decimal(lam), Decimal(q)
+
+        def residual(t):
+            return (-lam * t).exp() - (1 - t) / (1 + (q - 1) * t)
+
+        assert residual(lo) < 0 < residual(hi)
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if residual(mid) < 0 else (lo, mid)
+        return float((lo + hi) / 2)
+
+
 class TestTheta:
     def test_zero_below_critical(self):
         assert theta(0.5, 1.0) == 0.0
@@ -63,6 +82,17 @@ class TestTheta:
         for lam, q in [(3.0, 2.0), (4.0, 3.0), (2.5, 1.5)]:
             th = theta(lam, q)
             assert abs(_root_residual(th, lam, q)) < 1e-9
+
+    @pytest.mark.parametrize(
+        ("lam", "q", "rel"), [(1.00001, 1.0, 1e-5), (1.500015, 1.5, 1e-5), (0.500005, 0.5, 1e-5), (2.0 + 1e-9, 2.0, 1e-2)]
+    )
+    def test_root_below_first_grid_step(self, lam, q, rel):
+        # just above lambda_c for q <= 2 the root lies between the grid's
+        # left end, where the residual's two terms round to the same float,
+        # and its first step.  At q = 2 the root at lambda_c is triple, so the
+        # float residual fixes it only to about 1e-3.
+        assert theta(lam, q) < 1.0 / ROOT_GRID
+        assert theta(lam, q) == pytest.approx(_decimal_root(lam, q), rel=rel)
 
     def test_largest_root_is_positive_above_critical(self):
         assert theta(2.5, 2.0) > 0.3

@@ -130,6 +130,12 @@ class TestKn:
         assert code == 0 and rep["pass"]
         assert [row["n"] for row in rep["rows"]] == [4, 8, 12, 14]
 
+    def test_kn_q_in_the_hundreds(self, capsys):
+        # one spin state after another, in a loop: no recursion depth grows with q
+        code, rep = run_json(capsys, ["kn", "--q", "600", "--lambda", "1", "--n", "4,5"])
+        assert code == 0
+        assert [row["rate"] for row in rep["rows"]] == [5.966239751086826, 5.951475798992969]
+
 
 class TestErrors:
     def test_missing_graph_file(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -217,10 +218,23 @@ class TestSpinConfigs:
         _check_spin_kernel(g, q)
 
     @pytest.mark.parametrize(("n", "m", "q"), [(7, 10, 3), (10, 14, 2), (6, 8, 4)])
-    def test_head_and_tail_split(self, n, m, q):
-        # above 256 configurations the kernel splits V into a head and a tail
+    def test_spaces_above_256_configurations(self, n, m, q):
         for seed in range(5):
             _check_spin_kernel(random_multigraph(n, m, make_rng(seed), loops=True), q)
+
+    def test_stream_pinned(self):
+        """A SHA-256 over the whole stream of seeded multigraphs with loops,
+        parallel edges and isolated vertices, n = 0..8 and q = 1..4: up to
+        65,536 configurations each."""
+        h = hashlib.sha256()
+        for n in range(9):
+            for q in range(1, 5):
+                rng = random.Random(10 * n + q)
+                pairs = [(u, v) for u in range(n) for v in range(u, n)]
+                pool = rng.sample(pairs, min(len(pairs), rng.randrange(1, 8)))
+                g = Multigraph(n, tuple(rng.choice(pool) for _ in range(rng.randrange(13))) if pool else ())
+                h.update(f"{g.n}:{g.edges}:{q}:{list(spin_configs(g, q))};".encode())
+        assert h.hexdigest() == "e211311f3005a0d841ded78c95bc7dfbc0c7c5e71dcbe9a6d68dc2e4bf0596b5"
 
     def test_empty_graph_has_one_configuration(self):
         assert list(spin_configs(Multigraph(0), 3)) == [((), 0)]

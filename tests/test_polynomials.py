@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from rcpotts.polynomials import (
     tutte_from_rank_gen,
     tutte_poly,
 )
-from .conftest import RATIONAL_POINTS_20, brute_force_flow_count, seeded_multigraph
+from .conftest import RATIONAL_POINTS_20, agreement_oracle, brute_force_flow_count, seeded_multigraph
 
 F = Fraction
 X = BivariatePolynomial.monomial(1, 0)
@@ -176,6 +177,14 @@ class TestChromatic:
             chi = chromatic_poly(g, cache)
             for q in range(1, 6):
                 assert eval_poly(chi, F(q), F(0)) == count_proper_colourings(g, q)
+
+    def test_colouring_count_matches_agreement_oracle(self):
+        # multigraphs with loops (no proper colouring), q = 1, and n = 0 (one empty colouring)
+        rng = random.Random(20)
+        for g in [Multigraph(0), Multigraph(1, ((0, 0),))] + [seeded_multigraph(rng, True) for _ in range(40)]:
+            for q in range(1, 5 if g.n < 7 else 4):
+                expected = sum(not agreement_oracle(g, s) for s in product(range(q), repeat=g.n))
+                assert count_proper_colourings(g, q) == expected
 
     def test_colouring_count_honours_spin_cap(self):
         with pytest.raises(EnumerationCapExceeded):
