@@ -210,19 +210,34 @@ def subset_counts(g: Multigraph, pairs=()) -> tuple[Counter, dict]:
     subsets that join x and y.  Counts are exact Python ints, and ``counts``
     lists its keys in the order ``edge_subsets`` first meets them, so a float
     sum over ``counts.items()`` adds its terms in the same order on both paths.
+    A repeated pair is counted once; a vertex out of range raises ValueError.
 
     Below SUBSET_CROSSOVER edges the tallies read ``edge_subsets``.  From it
     on, the low c = min(m, SUBSET_BLOCK_EDGES) edges (fewer if 2^c * n would
-    pass SUBSET_BLOCK_LABELS) form one numpy block of 2^c subsets per subset
-    of the high edges.  Starting from the high subset's labels and its key
-    |A| * (n + 1) + k(A), the block doubles once per low edge: the new half
-    merges the edge's two clusters, adds n + 1 to the key and subtracts one if
-    the clusters differed.  Column r holds low subset r.  One bincount over
-    the keys tallies a block, and one more per pair tallies the columns where
-    the pair's labels agree.  Nothing is kept between calls.
+    pass SUBSET_BLOCK_LABELS) form one numpy block, built once per call:
+    column r holds low subset r as a label per vertex and one key
+    |A| * (n + 1) + k(A).  It doubles once per low edge; the new half merges
+    the edge's two clusters, adds n + 1 to the key and subtracts one if the
+    clusters differed.  The high subsets are then walked in ascending order,
+    as ``edge_subsets`` walks its own: each one's block is its parent's
+    (``a & (a - 1)``; the low block for the empty set) with its lowest high
+    edge t merged in every column, kept in slot t of an (m - c + 1)-slot
+    stack for its children.  One bincount over the keys tallies a block, and
+    one more per pair the columns where the pair's labels agree.  Blocks, and
+    columns within a block, come in ascending subset order, so every key is
+    first met where ``edge_subsets`` first meets it.
+
+    The stack holds at most m - c + 1 blocks of at most SUBSET_BLOCK_LABELS
+    labels (n, if larger) plus 2^c keys each, and nothing is kept between
+    calls.  At the 2^24-subset budget that is 13 blocks of 256 KiB of uint8
+    labels and 32 KiB of keys (3.7 MiB) for n <= 64, 15 blocks of 520 KiB
+    (7.6 MiB) at n = 256, and at most 23 blocks of 512 KiB of uint16 labels
+    (11.5 MiB) below 2^16 vertices.
     """
     check_budget("subsets", 1 << g.m)
-    pairs = list(pairs)
+    pairs = list(dict.fromkeys(pairs))
+    if not all(0 <= x < g.n for pair in pairs for x in pair):
+        raise ValueError("vertex out of range")
     if g.m < SUBSET_CROSSOVER:
         if not pairs:
             return Counter((a.bit_count(), k) for a, k, _ in edge_subsets(g)), {}
@@ -240,16 +255,24 @@ def subset_counts(g: Multigraph, pairs=()) -> tuple[Counter, dict]:
     width = (g.m + 1) * (n + 1)  # one slot per key, at size * (n + 1) + k
     labels = np.empty((n, 1 << c), dtype=np.min_scalar_type(n))  # column r: low subset r
     keys = np.empty(1 << c, dtype=np.intp)
+    labels[:, 0], keys[0] = np.arange(n), n
+    for t, (u, v) in enumerate(g.edges[:c]):
+        s = 1 << t
+        labels[:, s : 2 * s] = labels[:, :s]
+        np.subtract(keys[:s], _merge(labels[:, s : 2 * s], u, v), out=keys[s : 2 * s])
+        keys[s : 2 * s] += n + 1  # one edge more
     total = np.zeros(width, dtype=np.int64)
     joined = np.zeros((len(pairs), width), dtype=np.int64)
     order = []  # slots in the order edge_subsets first meets them
-    for a, k, high_labels in edge_subsets(Multigraph(n, g.edges[c:])):
-        labels[:, 0], keys[0] = high_labels, a.bit_count() * (n + 1) + k
-        for t, (u, v) in enumerate(g.edges[:c]):
-            s = 1 << t
-            labels[:, s : 2 * s] = labels[:, :s]
-            np.subtract(keys[:s], _merge(labels[:, s : 2 * s], u, v), out=keys[s : 2 * s])
-            keys[s : 2 * s] += n + 1  # one edge more
+    high = g.edges[c:]
+    stack = [(labels, keys)] * (len(high) + 1)  # slot -1: the empty high subset
+    for a in range(1 << len(high)):
+        if a:
+            t, rest = (a & -a).bit_length() - 1, a & (a - 1)
+            labels, keys = stack[(rest & -rest).bit_length() - 1]  # the parent's block
+            labels = labels.copy()
+            keys = keys + (n + 1) - _merge(labels, *high[t])
+            stack[t] = labels, keys
         order += dict.fromkeys(keys[(total == 0)[keys]].tolist())
         total += np.bincount(keys, minlength=width)
         for i, (x, y) in enumerate(pairs):

@@ -13,7 +13,7 @@ from rcpotts import graphs
 from rcpotts.asymptotics import _potts_z_complete, _rc_z_complete, empirical_rate
 from rcpotts.coupling import JointConfig, joint_table, kernel_step_distribution, make_rng
 from rcpotts.families import random_multigraph
-from rcpotts.flows import count_flows
+from rcpotts.flows import compflow_identity, count_flows
 from rcpotts.graphs import (
     BUDGET,
     SUBSET_BLOCK_EDGES,
@@ -41,7 +41,7 @@ from rcpotts.graphs import (
     triangle,
 )
 from rcpotts.measures import MeasureTable, RCParams, rc_measure_table
-from rcpotts.polynomials import TutteCache, count_spanning_trees, rank_gen_poly, tutte_poly
+from rcpotts.polynomials import TutteCache, count_spanning_trees, rank_gen_poly, tutte_from_rank_gen, tutte_poly
 from .conftest import agreement_oracle, bfs_component_count, bfs_reachable, seeded_multigraph
 
 
@@ -150,9 +150,56 @@ class TestSubsetCounts:
         assert counts == hits[0, 0] == Counter({(s, 1): math.comb(8, s) for s in range(9)})
 
     def test_many_vertices(self):
-        # labels above 255 need 16 bits, and 300 labels per subset shrink the block to 2^9 subsets
-        edges = ((256, 299), (299, 298), (0, 1), (257, 258), (258, 256), (1, 299), (2, 2), (3, 4), (4, 299), (5, 5), (0, 3))
+        # labels above 255 need 16 bits, and 300 labels per subset shrink the block to 2^9 subsets,
+        # so these 13 edges walk 4 high edges
+        edges = ((256, 299), (299, 298), (0, 1), (257, 258), (258, 256), (1, 299), (2, 2), (3, 4), (4, 299), (5, 5),
+                 (0, 3), (257, 299), (1, 298))
         _check_subset_counts(Multigraph(300, edges), [(0, 298), (0, 2), (257, 299)])
+
+    def test_walk_through_many_high_edges(self, monkeypatch):
+        """With 1-3 low edges, 6-13-edge multigraphs walk 3-12 high edges.
+        The last three are always high: a loop, a parallel copy of (0, 1),
+        and (0, 2), whose ends (0, 1) and (1, 2) join in some subsets."""
+        for c in (1, 2, 3):
+            monkeypatch.setattr(graphs, "SUBSET_BLOCK_EDGES", c)
+            for m in range(6, 14):
+                rng = make_rng(100 * c + m)
+                n = int(rng.integers(3, 8))
+                base = random_multigraph(n, m - 5, rng, loops=True)
+                g = Multigraph(n, base.edges + ((0, 1), (1, 2), (2, 2), (0, 1), (0, 2)))
+                _check_subset_counts(g, [(0, 2), (1, n - 1)])
+
+    @pytest.mark.parametrize("m", [16, 18])
+    def test_walk_matches_generator(self, m, monkeypatch):
+        """The walk (4 and 6 high edges) and the generator path give the same
+        tallies with ``counts`` in the same key order, so the consumers give
+        the same values, down to a float sum taken in that order."""
+        g = random_multigraph(7, m, make_rng(m), loops=True)  # loops and parallel edges
+
+        def routes():
+            counts, hits = subset_counts(g, [(0, 6), (2, 5)])
+            return list(counts.items()), hits, list(rank_gen_poly(g).terms.items()), compflow_identity(g, 0.3, 3)
+
+        walk = routes()
+        monkeypatch.setattr(graphs, "SUBSET_CROSSOVER", m + 1)
+        assert routes() == walk
+        monkeypatch.undo()
+        assert tutte_from_rank_gen(g) == tutte_poly(g)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, 4)])
+    def test_vertex_out_of_range(self, pair, monkeypatch):
+        for crossover in (0, 7):  # the blocks, then the generator
+            monkeypatch.setattr(graphs, "SUBSET_CROSSOVER", crossover)
+            for g in (complete(4), cycle(4)):
+                with pytest.raises(ValueError, match="vertex out of range"):
+                    subset_counts(g, [(0, 1), pair])
+
+    def test_repeated_pairs(self, monkeypatch):
+        for crossover in (0, 7):
+            monkeypatch.setattr(graphs, "SUBSET_CROSSOVER", crossover)
+            counts, hits = subset_counts(complete(4), [(0, 1), (2, 3), (0, 1)])
+            assert list(hits) == [(0, 1), (2, 3)]
+            assert (counts, hits) == subset_counts(complete(4), [(0, 1), (2, 3)])
 
     def test_spanning_trees(self):
         assert count_spanning_trees(petersen()) == 2000

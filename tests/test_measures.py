@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+from rcpotts import graphs, measures
 from rcpotts.coupling import make_rng
 from rcpotts.families import connected_multigraphs_upto, random_multigraph, simple_graphs
 from rcpotts.graphs import EnumerationCapExceeded, SUBSET_CROSSOVER, Multigraph, complete, cycle, spin_counts, triangle
@@ -333,6 +334,40 @@ class TestIdentities:
     def test_change_of_variables(self):
         u, v = tutte_rc_params(F(1, 2), F(2))
         assert (u, v) == (3, 2)
+
+
+def _lose_full_set(monkeypatch):
+    """Make the subset kernel, as ``measures`` reads it, lose one subset:
+    the full edge set, from key (|E|, 1) of every tally it returns."""
+
+    def subset_counts(g, pairs=()):
+        counts, hits = graphs.subset_counts(g, pairs)
+        for tally in (counts, *hits.values()):
+            tally[g.m, 1] -= 1
+        return counts, hits
+
+    monkeypatch.setattr(measures, "subset_counts", subset_counts)
+    monkeypatch.setattr(measures, "subset_size_components", lambda g: subset_counts(g)[0])
+
+
+class TestGatesFailOnALostSubset:
+    """Negative controls: each gate fed by the subset kernel reports a loss
+    of one subset on K4 (6 edges, the block path) as a failure."""
+
+    def test_partition_identity(self, monkeypatch):
+        p, q = F(1, 2), 3
+        assert verify_partition_identity(complete(4), p, q)["pass"]
+        _lose_full_set(monkeypatch)
+        report = verify_partition_identity(complete(4), p, q)
+        assert report["pass"] is False
+        assert F(report["max_abs_deviation"]) == p**6 * q  # the lost subset's weight
+
+    def test_corr_conn(self, monkeypatch):
+        assert verify_corr_conn(complete(4), F(1, 2), 3)["pass"]
+        _lose_full_set(monkeypatch)
+        report = verify_corr_conn(complete(4), F(1, 2), 3)
+        assert report["pass"] is False
+        assert F(report["max_abs_deviation"]) == F(17, 7700)  # non-zero, and below 1/100
 
 
 class TestGroundStates:
