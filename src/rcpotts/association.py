@@ -155,6 +155,11 @@ def fkg_check(g: Multigraph, p, q, n_function_pairs: int = 100, seed: int = 0) -
     """Positive association sweep: phi(A and B) >= phi(A) phi(B) over every
     pair of increasing events, plus random increasing-function spot checks.
 
+    The ``n_function_pairs`` spot checks are drawn only after the sweep has
+    found a violation: once every pair of up-sets passes, no positive
+    combination of their indicators can fail.  ``instances`` counts them
+    either way, as implied by the sweep when they were not drawn.
+
     Proven for q >= 1; for q < 1 this is a counterexample search and any
     find is reported as a witness.
     """
@@ -170,12 +175,15 @@ def fkg_check(g: Multigraph, p, q, n_function_pairs: int = 100, seed: int = 0) -
         if len(violations) >= 10:
             break
     # random increasing functions f = sum c 1_A: E f = sum c W(A) / d and
-    # E fh = sum c c' W(A and B) / d, so the weights above serve every pair
+    # E fh = sum c c' W(A and B) / d, so the weights above serve every pair.
+    # d E fh - E f E h sums c c' (d W(A and B) - W(A) W(B)) over positive
+    # c c', so no function fails once every up-set pair passes: they are
+    # drawn only after a violation.
     ups = events.tolist()
     weight = dict(zip(ups, masses.tolist()))  # closed under A and B
     rng = make_rng(seed)
     func_viol = 0
-    for _ in range(n_function_pairs):
+    for _ in range(n_function_pairs if violations else 0):
         f = _random_increasing_function(ups, rng)
         h = _random_increasing_function(ups, rng)
         e_f = sum(c * weight[a] for a, c in f)

@@ -12,9 +12,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .graphs import check_budget
 
 ROOT_GRID = 10**4
+_EXP_SLACK = 1e-12  # far above the gap between numpy's and math's exp below 1
 
 
 def lambda_c(q: float) -> float:
@@ -35,12 +38,14 @@ def theta(lam: float, q: float) -> float:
     (a double root, near which the residual is rounding noise); otherwise the
     largest root of e^(-lam theta) = (1-theta)/(1+(q-1)theta) in [0, 1).
 
-    "Largest root" needs global bracketing: the grid of ROOT_GRID steps is
-    scanned from the right, and the first step holding a sign change or a
-    zero is bisected to 1e-12.  No step to its right brackets a root, so it
-    is the bracket a scan from the left would keep last.  At the grid's left
-    end both terms of the residual round to the same float, so there it is
-    summed without cancellation.
+    "Largest root" needs global bracketing: the residual is evaluated on a
+    grid of ROOT_GRID steps in one numpy pass, and the rightmost step holding
+    a sign change or a zero is bisected to 1e-12.  No step to its right
+    brackets a root, so it is the bracket a scan from the left would keep
+    last.  Grid points whose residual lies within _EXP_SLACK of 0 are
+    evaluated again with ``math.exp``, so every sign and zero is that of
+    ``_root_residual``.  At the grid's left end both terms of the residual
+    round to the same float, so there it is summed without cancellation.
     """
     if lam <= 0 or q <= 0:
         raise ValueError("lambda and q must be positive")
@@ -49,18 +54,22 @@ def theta(lam: float, q: float) -> float:
         return 0.0
     lo_all = 1e-12
     hi_all = 1.0 - 1e-12
-    points = (lo_all + (hi_all - lo_all) * i / ROOT_GRID for i in range(ROOT_GRID, -1, -1))
-    hi = next(points)
-    f_hi = _root_residual(hi, lam, q)
-    for lo in points:
-        f_lo = _root_residual(lo, lam, q) if lo > lo_all else math.expm1(-lam * lo) + q * lo / (1.0 + (q - 1.0) * lo)
-        if f_hi == 0.0 or (f_lo < 0) != (f_hi < 0):
-            break
-        if f_lo == 0.0:
-            return lo
-        hi, f_hi = lo, f_lo
-    else:  # theta = 0 is always a root; a positive one below the left end has no bracket
+    t = lo_all + (hi_all - lo_all) * np.arange(ROOT_GRID + 1) / ROOT_GRID
+    f = np.exp(-lam * t) - (1.0 - t) / (1.0 + (q - 1.0) * t)
+    # numpy's exp may differ from math.exp in the last bits: recompute with
+    # math.exp wherever that could flip the sign or make a zero
+    for i in np.flatnonzero(np.abs(f) < _EXP_SLACK).tolist():
+        f[i] = _root_residual(float(t[i]), lam, q)
+    f[0] = math.expm1(-lam * lo_all) + q * lo_all / (1.0 + (q - 1.0) * lo_all)
+    neg = f < 0
+    stops = (neg[:-1] != neg[1:]) | (f[:-1] == 0.0)  # step i runs from t[i] to t[i + 1]
+    stops[-1] |= f[-1] == 0.0
+    if not stops.any():  # theta = 0 is always a root; a positive one below the left end has no bracket
         return 0.0
+    i = int(np.flatnonzero(stops)[-1])
+    lo, hi, f_lo = float(t[i]), float(t[i + 1]), float(f[i])
+    if f_lo == 0.0 and neg[i] == neg[i + 1] and f[i + 1] != 0.0:  # a zero at a grid point, not a bracket
+        return lo
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         f_mid = _root_residual(mid, lam, q)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rcpotts import association
 from rcpotts.association import (
     box_product,
     comparison_check,
@@ -74,6 +75,20 @@ class TestDominance:
             # large enough p' triggers the opposite comparison
             rep = comparison_check(g, F(1, 2), F(1), F(5, 6), F(2))
             assert rep["pass"] and "larger" in rep["checks"]
+
+    @pytest.mark.parametrize(("args", "side"), [((F(1, 2), F(1), F(1, 2), F(2)), "smaller"),
+                                                ((F(1, 2), F(1), F(5, 6), F(2)), "larger")])
+    def test_swapped_measures_fail_with_witness(self, monkeypatch, args, side):
+        # negative control: handed each other's measures, the check reports
+        # the comparison that no longer holds, with an up-set that breaks it
+        assert comparison_check(triangle(), *args)["pass"]
+        first, second = RCParams(*args[:2]), RCParams(*args[2:])
+        swap = {first: second, second: first}
+        measure = association.rc_measure_table
+        monkeypatch.setattr(association, "rc_measure_table", lambda g, params: measure(g, swap[params]))
+        report = comparison_check(triangle(), *args)
+        assert report["pass"] is False and list(report["checks"]) == [side]
+        assert report["checks"][side]["pass"] is False and isinstance(report["checks"][side]["witness"], int)
 
     def test_hypothesis_required(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,36 @@ def _decimal_root(lam: float, q: float, lo=Decimal("1e-12"), hi=Decimal("1e-4"))
         return float((lo + hi) / 2)
 
 
+def _scalar_theta(lam: float, q: float) -> float:
+    """``theta`` as a scan of the grid point by point with ``math.exp``,
+    from the right: the oracle for the numpy pass over the same grid."""
+    if lam < lambda_c(q) or (lam == lambda_c(q) and q <= 2):
+        return 0.0
+    lo_all, hi_all = 1e-12, 1.0 - 1e-12
+    points = (lo_all + (hi_all - lo_all) * i / ROOT_GRID for i in range(ROOT_GRID, -1, -1))
+    hi = next(points)
+    f_hi = _root_residual(hi, lam, q)
+    for lo in points:
+        f_lo = _root_residual(lo, lam, q) if lo > lo_all else math.expm1(-lam * lo) + q * lo / (1.0 + (q - 1.0) * lo)
+        if f_hi == 0.0 or (f_lo < 0) != (f_hi < 0):
+            break
+        if f_lo == 0.0:
+            return lo
+        hi, f_hi = lo, f_lo
+    else:
+        return 0.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        f_mid = _root_residual(mid, lam, q)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0) == (f_mid < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestTheta:
     def test_zero_below_critical(self):
         assert theta(0.5, 1.0) == 0.0
@@ -93,6 +123,19 @@ class TestTheta:
         # float residual fixes it only to about 1e-3.
         assert theta(lam, q) < 1.0 / ROOT_GRID
         assert theta(lam, q) == pytest.approx(_decimal_root(lam, q), rel=rel)
+
+    def test_matches_scalar_scan(self):
+        # 3,000 seeded points, a third each below lambda_c, well above it and
+        # within 1e-12..1e-2 (relative) above it, then the points just above
+        # lambda_c of test_root_below_first_grid_step
+        rng = random.Random(22)
+        points = []
+        for i in range(3000):
+            q = rng.uniform(0.05, 12.0)
+            scale = (rng.uniform(0.05, 1.0), rng.uniform(1.0, 4.0), 1.0 + 10.0 ** rng.uniform(-12, -2))[i % 3]
+            points.append((lambda_c(q) * scale, q))
+        points += [(1.00001, 1.0), (1.500015, 1.5), (0.500005, 0.5), (2.0 + 1e-9, 2.0)]
+        assert [repr(theta(lam, q)) for lam, q in points] == [repr(_scalar_theta(lam, q)) for lam, q in points]
 
     def test_largest_root_is_positive_above_critical(self):
         assert theta(2.5, 2.0) > 0.3

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -11,8 +12,21 @@ from hypothesis import strategies as st
 
 from rcpotts.coupling import make_rng
 from rcpotts.families import connected_multigraphs_upto, graphs_with_few_edges, random_multigraph
-from rcpotts.graphs import EnumerationCapExceeded, Multigraph, complete, cycle, is_connected, path, triangle
+from rcpotts.graphs import (
+    EnumerationCapExceeded,
+    Multigraph,
+    _bridges,
+    _contract_edges,
+    _edges_key,
+    complete,
+    cycle,
+    is_connected,
+    path,
+    triangle,
+)
 from rcpotts.polynomials import (
+    _CONTRACTION,
+    _DELETION,
     BivariatePolynomial,
     TutteCache,
     chromatic_poly,
@@ -25,6 +39,7 @@ from rcpotts.polynomials import (
     rank_gen_poly,
     tutte_from_rank_gen,
     tutte_poly,
+    _peel,
 )
 from .conftest import RATIONAL_POINTS_20, agreement_oracle, brute_force_flow_count, seeded_multigraph
 
@@ -134,6 +149,44 @@ class TestTutte:
         assert order == "995ae095d43135e6d71e18cb79230677494e34764c063ebbc6e3f5c21f0e681c"
         assert list(map(repr, values)) == ["10821.6796875", "28739.2578125", "75774.853515625", "194917.2802734375"]
         assert (cache.hits, cache.misses) == (742, 826)
+
+    def test_children_of_a_peeled_minor_need_one_peel(self):
+        # every minor of the recursion, on seeded multigraphs with loops and
+        # parallel edges: a peeled minor has no loop and no bridge, its
+        # deletion child no loop and its contraction child no bridge, so each
+        # child's one-sided peel is its full peel
+        def walk(n, edges, peel, seen):
+            if (_edges_key(n, edges), peel) in seen:
+                return
+            seen[_edges_key(n, edges), peel] += 1
+            assert _peel(n, edges, *peel) == _peel(n, edges)
+            n, work, _, _ = _peel(n, edges)
+            assert all(u != v for u, v in work) and _bridges(n, work) == []
+            if work:
+                deleted, contracted = (n, work[1:]), _contract_edges(n, work, 0)
+                assert all(u != v for u, v in deleted[1]) and _bridges(*contracted) == []
+                found["deletion children with bridges"] += bool(_bridges(*deleted))
+                found["contraction children with loops"] += any(u == v for u, v in contracted[1])
+                walk(*deleted, _DELETION, seen)
+                walk(*contracted, _CONTRACTION, seen)
+
+        rng, found = random.Random(22), Counter()
+        for _ in range(300):
+            g = seeded_multigraph(rng, loops=True)
+            found["loops"] += any(u == v for u, v in g.edges)
+            found["parallel"] += len(set(g.edges)) < g.m
+            walk(g.n, g.edges, (True, True), Counter())
+        assert len(found) == 4 and all(found.values()), found
+
+    def test_term_keys_shared(self):
+        # equal term keys of different graphs' polynomials are one tuple
+        a, b = tutte_poly(triangle()), tutte_poly(cycle(4))  # x^2 + x + y, x^3 + x^2 + x + y
+        shared = {k: k for k in a.terms}
+        common = [k for k in b.terms if k in shared]
+        assert len(common) == 3 and all(shared[k] is k for k in common)
+        # above rank or corank 31 the keys come from a table of the call's own
+        assert tutte_poly(path(41)) == X**40
+        assert tutte_poly(Multigraph(1, ((0, 0),) * 40)) == Y**40
 
     def test_spanning_tree_count_honours_subset_cap(self):
         with pytest.raises(EnumerationCapExceeded):
