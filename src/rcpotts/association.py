@@ -25,7 +25,7 @@ from math import lcm
 
 import numpy as np
 
-from .graphs import Multigraph, edge_subsets, is_connected, subset_size_components
+from .graphs import Multigraph, check_budget, edge_subsets, is_connected, subset_size_components
 from .measures import MeasureTable, RCParams, rc_measure_table
 from .coupling import make_rng
 
@@ -383,6 +383,7 @@ def negative_association_checks(
 def uniform_substructure_measure(g: Multigraph, kind: str) -> MeasureTable:
     """Uniform measure on spanning trees, forests, or connected spanning
     subgraphs, as subsets of the bond space."""
+    check_budget("table", 1 << g.m)
     if kind in ("spanning-tree", "connected-subgraph") and not is_connected(g):
         raise ValueError(f"{kind} measure needs a connected graph")
     if kind == "spanning-tree":
@@ -508,7 +509,9 @@ def negative_association_checks_edge_only(table: MeasureTable) -> dict:
 
 def conjecture_forest_scan(graphs, full_na_cap: int = UPSET_EDGE_CAP) -> dict:
     """Edge-NA (and full NA where feasible) scan of the uniform forest and
-    uniform connected-subgraph measures over a graph family.
+    uniform connected-subgraph measures over a family of connected graphs:
+    a disconnected graph raises ValueError, as its connected-subgraph measure
+    is empty.
 
     Both properties are conjectural; the scan reports witnesses and never
     asserts the conjecture.
@@ -518,8 +521,6 @@ def conjecture_forest_scan(graphs, full_na_cap: int = UPSET_EDGE_CAP) -> dict:
     for g in graphs:
         scanned += 1
         for kind in ("forest", "connected-subgraph"):
-            if kind == "connected-subgraph" and not is_connected(g):
-                continue
             table = uniform_substructure_measure(g, kind)
             if g.m <= full_na_cap:  # the full report carries the edge witness too
                 rep = negative_association_checks(table, include_doc=False)["witnesses"]

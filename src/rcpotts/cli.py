@@ -174,11 +174,10 @@ def _verify_suite(args) -> dict:
     suite = args.suite
     seed = args.seed
     reports = []
+    single = [_load_graph(args.graph)] if args.graph else None  # replaces each suite's built-in sweep
 
     def graphs_for(default_max_edges):
-        if args.graph:
-            return [_load_graph(args.graph)]
-        return graphs_with_few_edges(min(args.max_edges, default_max_edges), connected=True)
+        return single or graphs_with_few_edges(min(args.max_edges, default_max_edges), connected=True)
 
     if suite in ("corrconn", "all"):
         for g in (graphs_for(4) if suite != "all" else simple_graphs(4, connected=True)):
@@ -192,7 +191,7 @@ def _verify_suite(args) -> dict:
         for g in (graphs_for(4) if suite != "all" else simple_graphs(4, connected=True)):
             reports.append(verify_partition_identity(g, _frac(args.p), int(q)))
     if suite in ("tutte-rcm", "all"):
-        for g in simple_graphs(4, connected=True):
+        for g in single or simple_graphs(4, connected=True):
             reports.append(tutte_rc_identity(g, _frac(args.p), _frac(args.q)))
     if suite in ("fkg", "all"):
         for g in graphs_for(4):
@@ -206,15 +205,15 @@ def _verify_suite(args) -> dict:
             table = rc_measure_table(g, RCParams(_frac(args.p), _frac(args.q)))
             reports.append(negative_association_checks(table, seed=seed))
     if suite in ("q-limits", "all"):
-        for g in (triangle(), cycle(4)):
+        for g in single or (triangle(), cycle(4)):
             for regime in ("ucs", "ust", "usf"):
                 reports.append(q_to_zero_limit_check(g, regime))
     if suite in ("ust-na", "all"):
-        for g in graphs_with_few_edges(min(args.max_edges, 5), connected=True):
+        for g in graphs_for(5):
             if g.n >= 2:
                 reports.append(ust_feder_mihail_check(g))
     if suite in ("forest-conjecture", "all"):
-        fam = [g for g in graphs_with_few_edges(6, connected=True) if g.n >= 2]
+        fam = single or [g for g in graphs_with_few_edges(6, connected=True) if g.n >= 2]
         reports.append(conjecture_forest_scan(fam))
 
     gating = [r for r in reports if not r.get("informational")]

@@ -1,9 +1,10 @@
 """Finite graph families used by the verification sweeps.
 
-Simple graphs come from the networkx atlas (one representative per
-isomorphism class, up to 7 vertices).  Multigraph families are edge
-multisets over endpoint-pair types, generated orderly (Read; Faradzev): one
-edge at a time, extending only canonical multisets, so each
+Simple graphs come from Read & Wilson's *An Atlas of Graphs* (1998): one
+representative per isomorphism class, up to 7 vertices, in atlas order, read
+from the table ``atlas.txt`` shipped in the package.  Multigraph families are
+edge multisets over endpoint-pair types, generated orderly (Read; Faradzev):
+one edge at a time, extending only canonical multisets, so each
 vertex-permutation class appears exactly once, as its lexicographically least
 member.  Canonicity is tested per level in numpy batches, against a table of
 each pair type's image under every vertex permutation.
@@ -11,6 +12,8 @@ each pair type's image under every vertex permutation.
 
 from __future__ import annotations
 
+import functools
+from importlib import resources
 from itertools import permutations
 
 import numpy as np
@@ -19,39 +22,28 @@ from .graphs import Multigraph, cluster_labels, is_connected
 
 _CANON_BATCH = 1 << 16  # image entries per canonicity batch: P permutations x N candidates x k edges
 
-_ATLAS = None
 
-
-def _atlas():
-    global _ATLAS
-    if _ATLAS is None:
-        import networkx as nx  # about 18 MB resident: loaded only for the atlas
-
-        _ATLAS = nx.graph_atlas_g()
-    return _ATLAS
-
-
-def _from_nx(g) -> Multigraph:
-    nodes = sorted(g.nodes())
-    idx = {v: i for i, v in enumerate(nodes)}
-    return Multigraph(len(nodes), tuple((idx[u], idx[v]) for u, v in g.edges()))
+@functools.cache
+def _atlas() -> tuple[Multigraph, ...]:
+    """The graphs of Read & Wilson's atlas, read from ``atlas.txt`` on first
+    use: line i is atlas graph i, as ``n u1v1 u2v2 ...``."""
+    text = resources.files(__package__).joinpath("atlas.txt").read_text()
+    return tuple(
+        Multigraph(int(n), tuple((int(e[0]), int(e[1])) for e in edges))
+        for n, *edges in map(str.split, text.splitlines())
+    )
 
 
 def simple_graphs(max_nodes: int, max_edges: int | None = None, connected: bool | None = None):
     """Simple graphs up to isomorphism from the atlas (max_nodes <= 7)."""
     if max_nodes > 7:
         raise ValueError("atlas covers at most 7 vertices")
-    out = []
-    for g in _atlas():
-        if g.number_of_nodes() == 0 or g.number_of_nodes() > max_nodes:
-            continue
-        if max_edges is not None and g.number_of_edges() > max_edges:
-            continue
-        mg = _from_nx(g)
-        if connected is not None and is_connected(mg) != connected:
-            continue
-        out.append(mg)
-    return out
+    return [
+        g for g in _atlas()
+        if 0 < g.n <= max_nodes
+        and (max_edges is None or g.m <= max_edges)
+        and (connected is None or is_connected(g) == connected)
+    ]
 
 
 def graphs_with_few_edges(max_edges: int, connected: bool | None = None):

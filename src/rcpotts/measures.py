@@ -10,7 +10,6 @@ tolerances.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -57,8 +56,8 @@ class MeasureTable:
     """Explicit probability table over a finite configuration space.
 
     ``space`` records what configurations mean: ("bond", m) for bitmasks over
-    m edges, ("spin", n, q) for tuples in {0..q-1}^n, ("joint", n, q, m) for
-    (spin-tuple, bitmask) pairs.  Probabilities are exact Fractions.
+    m edges, ("joint", n, q, m) for (spin-tuple, bitmask) pairs.
+    Probabilities are exact Fractions.
     """
 
     space: tuple
@@ -72,13 +71,8 @@ class MeasureTable:
             raise ValueError("negative probability")
 
     def prob(self, event) -> Fraction:
-        """Probability of an event given as an iterable of configurations or
-        a predicate over configurations."""
-        if callable(event):
-            return sum(
-                (p for cfg, p in self.probs.items() if event(cfg)), Fraction(0)
-            )
-        return sum((self.probs.get(cfg, Fraction(0)) for cfg in set(event)), Fraction(0))
+        """Probability of the configurations for which the predicate ``event`` holds."""
+        return sum((p for cfg, p in self.probs.items() if event(cfg)), Fraction(0))
 
 
 def _rc_sum(g: Multigraph, params: RCParams, counts) -> Fraction:
@@ -133,15 +127,6 @@ def _weigh(counts, w: Fraction) -> Fraction:
 def potts_partition_exact(g: Multigraph, q: int, w: Fraction, couplings=None) -> Fraction:
     """Z_P with e^beta = w exact; integer couplings only (default all +1)."""
     return _weigh(spin_counts(g, q, couplings)[0], Fraction(w))
-
-
-def potts_measure_table(g: Multigraph, q: int, w: Fraction, couplings=None) -> MeasureTable:
-    exponent = _exponent(couplings)
-    exponents = {s: exponent(agree) for s, agree in spin_configs(g, q)}
-    counts, w = Counter(exponents.values()), Fraction(w)
-    z = _weigh(counts, w)
-    prob = {j: w**j / z for j in counts}
-    return MeasureTable(("spin", g.n, q), {s: prob[j] for s, j in exponents.items()})
 
 
 def _float_sums(terms, width: int):

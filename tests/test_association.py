@@ -380,6 +380,15 @@ class TestQToZero:
         rising = q_to_zero_limit_check(triangle(), "ust", [F(1, 10**6), F(1, 10**2)])
         assert not rising["monotone"] and not rising["pass"]
 
+    @pytest.mark.parametrize("regime", ["ucs", "usf"])
+    def test_final_tv_above_the_target_fails(self, regime):
+        # a known-false control: the final TV misses the 1e-3 target by less
+        # than a factor of 10 (7.47e-3 and 3.90e-3), so a gate that forgave a
+        # tenfold miss would pass it
+        rep = q_to_zero_limit_check(triangle(), regime, [F(1, 10), F(1, 100)])
+        assert rep["monotone"] and 1e-3 < rep["tv"][-1] < 1e-2
+        assert not rep["pass"]
+
     def test_schedule_rationality(self):
         for p, q in regime_schedule("ust"):
             assert p * p == q

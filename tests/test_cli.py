@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,11 +114,43 @@ class TestVerify:
         code, rep = run_json(capsys, ["verify", "forest-conjecture"])
         assert code == 0 and rep["pass"]
 
+    @pytest.mark.parametrize(
+        "suite, n_reports, message",
+        [
+            ("tutte-rcm", 1, "identity is checked on connected graphs only"),
+            ("q-limits", 3, "connected-subgraph measure needs a connected graph"),
+            ("ust-na", 1, "spanning-tree measure needs a connected graph"),
+            ("forest-conjecture", 1, "connected-subgraph measure needs a connected graph"),
+        ],
+        ids=["tutte-rcm", "q-limits", "ust-na", "forest-conjecture"],
+    )
+    def test_suite_runs_on_the_graph_given(self, suite, n_reports, message, capsys, tmp_path, triangle_file):
+        # --graph replaces the built-in sweep; a graph the check cannot take
+        # exits 1 with the library's message
+        code, rep = run_json(capsys, ["verify", suite, "--graph", triangle_file])
+        assert code == 0 and len(rep["reports"]) == n_reports
+        assert rep["reports"][0].get("graphs_scanned", 1) == 1
+        two_components = tmp_path / "two-components.json"
+        two_components.write_text(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]]}))
+        assert run(["verify", suite, "--graph", str(two_components)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_verify_all_golden(self, tmp_path):
         # every report key, value and witness of the full suite, byte for byte
         out = tmp_path / "all.json"
         assert run(["verify", "all", "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "650480681f488cce2855f49c56520862327f594809d1441240c3c5cc5498b7b5"
+
+    def test_verify_all_without_networkx(self):
+        # the golden bytes above, from an interpreter where networkx cannot be imported
+        code = "import sys; sys.modules['networkx'] = None; from rcpotts.cli import run; sys.exit(run(['verify', 'all']))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(proc.stdout).hexdigest()
         assert digest == "650480681f488cce2855f49c56520862327f594809d1441240c3c5cc5498b7b5"
 
 

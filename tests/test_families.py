@@ -1,9 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from rcpotts.families import connected_multigraphs_upto, multigraphs, simple_graphs
+from rcpotts.families import _atlas, connected_multigraphs_upto, multigraphs, simple_graphs
 from rcpotts.graphs import Multigraph
 
 from .conftest import brute_force_multigraphs
@@ -65,3 +70,26 @@ def test_simple_members_match_atlas(args):
         if all(u != v for u, v in g.edges) and len(set(g.edges)) == g.m
     )
     assert simple == Counter((g.n, g.m) for g in simple_graphs(*args, connected=True))
+
+
+def test_atlas_table_matches_networkx():
+    """The checked-in table is networkx's atlas, graph for graph and in
+    order, with each graph's vertices relabelled 0..n-1 in sorted order."""
+    nx = pytest.importorskip("networkx")
+    expected = []
+    for g in nx.graph_atlas_g():
+        idx = {v: i for i, v in enumerate(sorted(g.nodes()))}
+        expected.append(Multigraph(len(idx), tuple((idx[u], idx[v]) for u, v in g.edges())))
+    assert list(_atlas()) == expected
+
+
+def test_atlas_table_pinned():
+    table = resources.files("rcpotts").joinpath("atlas.txt").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == "7d7878228dcd01670c0a8ce7ef4ff20ac6776d493d3e599a68716559c1d178a2"
+
+
+def test_import_does_not_read_atlas():
+    code = "import rcpotts, rcpotts.cli; from rcpotts.families import _atlas; assert _atlas.cache_info().misses == 0"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -273,6 +273,15 @@ class TestSimon:
                     rep = simon_check(g, p, q, 0, g.n - 1)
                     assert rep["pass"], rep["violations"]
 
+    def test_violation_by_a_hair_is_reported(self):
+        # a known-false control: at q = 8 and p = 1/(2^40 + 1) on the 4-cycle,
+        # phi(0<->2) exceeds the sum over W = {1, 3} by far less than a factor
+        # of 2, so a gate that compared against twice the right side would pass
+        rep = simon_check(cycle(4), F(1, 2**40 + 1), F(8), 0, 2)
+        assert not rep["pass"]
+        [v] = rep["violations"]
+        assert v["W"] == [1, 3] and F(v["rhs"]) < F(v["lhs"]) < 2 * F(v["rhs"])
+
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
             simon_check(path(3), F(1, 2), F(2), 1, 1)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcpotts import graphs
+from rcpotts.association import uniform_substructure_measure
 from rcpotts.asymptotics import _potts_z_complete, _rc_z_complete, empirical_rate
 from rcpotts.coupling import JointConfig, joint_table, kernel_step_distribution, make_rng
 from rcpotts.families import random_multigraph
@@ -383,6 +384,8 @@ BUDGET_CASES = {
                     lambda: joint_table(path(11), Fraction(1, 2), 2)),  # 2^11 * 2^10
     "kernel_step_distribution": ("table", 64, lambda: _kernel_step(triangle(), 2),
                                  lambda: _kernel_step(path(11), 2)),
+    "uniform_substructure_measure": ("table", 8, lambda: uniform_substructure_measure(triangle(), "forest"),
+                                     lambda: uniform_substructure_measure(Multigraph(2, ((0, 1),) * 21), "forest")),
 }
 
 

@@ -17,7 +17,6 @@ from rcpotts.measures import (
     _connection_probs,
     _potts_two_points_exact,
     ground_states,
-    potts_measure_table,
     potts_partition,
     potts_partition_exact,
     potts_two_point,
