@@ -10,6 +10,10 @@ numpy blocks, and turns them into exactly the draws ``Generator.random``
 and ``Generator.integers`` would give on the same stream (numpy 2.4.6's
 algorithms; ``tests/test_coupling.py`` pins them against the Generator), so
 a chain pays numpy's per-call cost once per block, not twice per sweep.
+Spin draws read a table of Lemire values that numpy computes once per
+block for the 32-bit halves of its words, so a sweep's spins are mostly one
+slice; a sweep merges its clusters in the same pass over the edges drawn
+open.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import islice, product
+from numbers import Real
 
 import numpy as np
 
@@ -98,6 +102,16 @@ class _RawDraws:
     halves, the low half of a word first and the high half kept for the next
     draw, across calls; above that on whole words.  Doubles take whole words
     and leave a kept half alone, as the Generator does.
+
+    For q ≤ 2³², the first call with that q in a block tabulates the halves
+    of the block's unread words with numpy: each half's Lemire value
+    (u·q) >> 32, and the positions of the halves redrawn, whose low product
+    bits fall below 2³² mod q.  A run of accepted halves is then one slice of
+    the values.  The values stay a numpy array: most of a block's words are
+    read as doubles, and on K50 or K100 turning every half into a Python int
+    cost more than the slices saved.  The kept half is held as its raw
+    32-bit value, since a later call may come after a refill or ask another
+    q.
     """
 
     def __init__(self, bit_generator, p):
@@ -108,6 +122,7 @@ class _RawDraws:
         self._below = []
         self._pos = 0
         self._half = None
+        self._table = (None, 0, None, [])  # q, its first word, values, redrawn halves
 
     def _refill(self, need: int) -> None:
         """Keep the unread words and append at least ``need`` more."""
@@ -115,6 +130,7 @@ class _RawDraws:
         self._words = np.concatenate((self._words[self._pos:], words))
         self._below = np.flatnonzero(self._words <= self._cut).tolist()
         self._pos = 0
+        self._table = (None, 0, None, [])
 
     def _take(self, n: int) -> list:
         """The next n words, as Python ints."""
@@ -134,6 +150,14 @@ class _RawDraws:
         lo = bisect_left(below, start)
         return [j - start for j in below[lo:bisect_left(below, start + m, lo)]]
 
+    def _tabulate(self, q: int) -> None:
+        """Tables of the halves of the unread words: half 2i is the low 32
+        bits of word i, half 2i + 1 its high 32 bits."""
+        halves = self._words[self._pos:].astype("<u8", copy=False).view("<u4")
+        prods = halves * np.uint64(q)  # < 2**64 for q <= 2**32
+        self._table = (q, self._pos, prods >> np.uint64(32),
+                       np.flatnonzero(prods.astype(np.uint32) < _U32 % q).tolist())
+
     def integers(self, q: int, k: int) -> list:
         """k draws of ``integers(0, q)`` for 1 <= q <= 2⁶³."""
         if q == 1:
@@ -145,46 +169,59 @@ class _RawDraws:
                 words = self._take(k - len(out))
                 out += [m >> 64 for w in words if (m := w * q) & (_U64 - 1) >= threshold]
             return out
-        threshold = _U32 % q
+        if k and self._half is not None:
+            u, self._half = self._half, None
+            if (m := u * q) & 0xFFFFFFFF >= _U32 % q:
+                out.append(m >> 32)
         while len(out) < k:
-            halves = [] if self._half is None else [self._half]
-            for w in self._take((k - len(out) - len(halves) + 1) // 2):
-                halves += (w & 0xFFFFFFFF, w >> 32)
-            # a spare half waits for the next draw, or for this one's redraws
-            self._half = halves.pop() if len(halves) > k - len(out) else None
-            out += [m >> 32 for u in halves if (m := u * q) & 0xFFFFFFFF >= threshold]
+            if self._pos == len(self._words):
+                self._refill((k - len(out) + 1) // 2)
+            if self._table[0] != q:
+                self._tabulate(q)
+            _, first, values, redrawn = self._table
+            h, end = 2 * (self._pos - first), len(values)
+            stop = min(end, h + k - len(out))
+            i = bisect_left(redrawn, h)
+            while i < len(redrawn) and redrawn[i] < stop:
+                # a redrawn half: take the run before it and one half more
+                out += values[h:redrawn[i]].tolist()
+                h, stop, i = redrawn[i] + 1, min(end, stop + 1), i + 1
+            out += values[h:stop].tolist()
+            # a low half taken alone leaves its word's high half for later
+            self._pos = first + (stop + 1) // 2
+            if stop & 1:
+                self._half = int(self._words[self._pos - 1]) >> 32
         return out
 
 
-def _open_agreeing(g: Multigraph, spins, candidates) -> int:
-    """The bond set: each candidate edge (drawn open) whose ends agree."""
-    edges = g.edges
-    bonds = 0
-    for i in candidates:
-        u, v = edges[i]
-        if spins[u] == spins[v]:
-            bonds |= 1 << i
-    return bonds
-
-
-def _colour_clusters(g: Multigraph, bonds: int, draw) -> tuple:
-    """One spin per open cluster, ``draw(k)`` giving the k spins of the
-    sorted cluster roots."""
-    labels = open_clusters(g, bonds)
-    roots = sorted(set(labels))
-    lut = dict(zip(roots, draw(len(roots))))
-    return tuple(map(lut.__getitem__, labels))
+def _probability(p):
+    """p as the sampler compares against it: a Fraction exactly, any other
+    real (numpy scalars too) as the double it rounds to."""
+    if isinstance(p, Fraction):
+        return p
+    if isinstance(p, Real):
+        return float(p)
+    raise ValueError("p must be a real number")
 
 
 def spins_given_bonds(g: Multigraph, bonds: int, q: int, rng: np.random.Generator) -> tuple:
-    """Uniform independent spin per open cluster, constant on clusters."""
-    return _colour_clusters(g, bonds, lambda k: rng.integers(0, q, size=k).tolist())
+    """Uniform independent spin per open cluster, constant on clusters; the
+    clusters' spins are drawn in ascending order of their union-find roots."""
+    labels = open_clusters(g, bonds)
+    roots = sorted(set(labels))
+    lut = dict(zip(roots, rng.integers(0, q, size=len(roots)).tolist()))
+    return tuple(map(lut.__getitem__, labels))
 
 
 def bonds_given_spins(g: Multigraph, spins, p: float, rng: np.random.Generator) -> int:
     """Close every disagreeing edge; open agreeing edges independently with
-    probability p."""
-    return _open_agreeing(g, spins, [i for i, r in enumerate(rng.random(g.m).tolist()) if r < p])
+    probability p, read as ``sw_sample`` reads it."""
+    p = _probability(p)
+    bonds = 0
+    for i, (r, (u, v)) in enumerate(zip(rng.random(g.m).tolist(), g.edges)):
+        if r < p and spins[u] == spins[v]:
+            bonds |= 1 << i
+    return bonds
 
 
 def sw_sample(g: Multigraph, p: float, q: int, cfg: SamplerConfig, stream: int = 0):
@@ -194,7 +231,13 @@ def sw_sample(g: Multigraph, p: float, q: int, cfg: SamplerConfig, stream: int =
     ``cfg.thinning`` sweeps.  Deterministic given (seed, stream): the draws
     are those of ``bonds_given_spins`` and ``spins_given_bonds`` on
     ``make_rng(seed, stream)``, after ``integers(0, q, size=n)`` initial spins.
+    A sweep is one pass over the edges drawn open: each one whose ends agree
+    joins the bond set and is merged at once by ``open_clusters``' rule, so
+    the clusters' roots come out in ascending order, one spin draw each.
+    A ``Fraction`` p is compared exactly, any other real p (numpy scalars
+    too) as its double; p that is not real raises ``ValueError``.
     """
+    p = _probability(p)
     if not (0 < p < 1):
         raise ValueError("p must lie in (0,1)")
     if not (2 <= q < math.inf and q == int(q)):
@@ -205,12 +248,34 @@ def sw_sample(g: Multigraph, p: float, q: int, cfg: SamplerConfig, stream: int =
     draws = _RawDraws(make_rng(cfg.seed, stream).bit_generator, p)
     spins = tuple(draws.integers(q, g.n))
     bonds = 0
-    m = g.m
-    colours = partial(draws.integers, q)
+    n, m, edges = g.n, g.m, g.edges
+    bits = [1 << i for i in range(m)]
+    vertices = list(range(n))
+    below, integers = draws.below, draws.integers
 
     def sweep(spins):
-        b = _open_agreeing(g, spins, draws.below(m))
-        return _colour_clusters(g, b, colours), b
+        parent = vertices[:]
+        bonds = 0
+        for i in below(m):
+            u, v = edges[i]
+            if spins[u] == spins[v]:
+                bonds |= bits[i]
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]  # path halving, as in open_clusters
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                parent[v] = u
+        roots = []
+        for x in vertices:
+            root = parent[x]
+            if root == x:
+                roots.append(x)
+                continue
+            while parent[root] != root:
+                root = parent[root]
+            parent[x] = root
+        lut = dict(zip(roots, integers(q, len(roots))))
+        return tuple(map(lut.__getitem__, parent)), bonds
 
     for _ in range(cfg.burn_in):
         spins, bonds = sweep(spins)

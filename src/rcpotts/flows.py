@@ -6,7 +6,9 @@ enumerator over edge values (the oracle) and parallel reduction, which merges
 each bundle of parallel edges into one edge of the multivariate Tutte sum so
 that a Poisson-thickened graph's flow polynomial, at integer, rational or
 real q, is one pass over its base graph's edge subsets (fast enough for
-Monte Carlo).
+Monte Carlo).  At int or Fraction q the Monte Carlo ratios tabulate those
+subsets' terms once per call and evaluate every sample through
+``eval_terms``, in integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .graphs import Multigraph, check_budget, open_clusters, subset_size_components
+from .graphs import Multigraph, check_budget, edge_subsets, open_clusters, subset_size_components
 from .measures import RCParams, _check_vertices, _connection_probs, rc_partition
 from .coupling import make_rng
 from .polynomials import eval_terms, multivariate_tutte
@@ -93,12 +95,17 @@ def flow_count_multiplicities(g: Multigraph, mult, q):
     if isinstance(q, Integral):
         q = int(q)  # numpy integers too: exact, and no fixed-width overflow
     mult = [int(m_e) for m_e in mult]
-    total = multivariate_tutte(g, q, [(1 - q) ** m_e - 1 for m_e in mult])
+    return _flow_value(multivariate_tutte(g, q, [(1 - q) ** m_e - 1 for m_e in mult]), q, g.n, sum(mult))
+
+
+def _flow_value(total, q, n: int, edges: int):
+    """(-1)^edges q^-n total: the flow polynomial from its Tutte sum; an
+    exact int at integer q."""
     if isinstance(q, int):
-        count, rem = divmod(total, q**g.n)
+        count, rem = divmod(total, q**n)
         assert rem == 0, "flow sum not divisible by q^|V|"
-        return (-1) ** sum(mult) * count
-    return (-1) ** sum(mult) * total / q**g.n
+        return (-1) ** edges * count
+    return (-1) ** edges * total / q**n
 
 
 @dataclass(frozen=True)
@@ -136,23 +143,46 @@ def _extended(g: Multigraph, x: int, y: int) -> Multigraph:
     return Multigraph(g.n, g.edges + ((x, y),))
 
 
+def _flow_pairs(g: Multigraph, x: int, y: int, q, tuples) -> dict:
+    """(C(G_m^{x,y}; q), C(G_m; q)) for each multiplicity tuple m.
+
+    At int or Fraction q both values come from one pass over the
+    (x, y)-extension's subsets, tabulated once as terms (k(A), bit of each
+    base edge in A), split by whether A holds the extra edge: with Z0 and Z1
+    the ``eval_terms`` sums of the two tables, G's Tutte sum is Z0 and the
+    extension's Z0 - q Z1, the extra edge's weight being (1 - q) - 1.  Float
+    q takes ``flow_count_multiplicities``.  The extension has |E| + 1 edges,
+    so it meets the subset budget first.
+    """
+    gx = _extended(g, x, y)
+    if not isinstance(q, (Integral, Fraction)):
+        return {mult: (flow_count_multiplicities(gx, mult + (1,), q), flow_count_multiplicities(g, mult, q))
+                for mult in tuples}
+    q = int(q) if isinstance(q, Integral) else q
+    terms = ({}, {})  # A without and with the extra edge, edge g.m of gx
+    for a, k, _ in edge_subsets(gx):
+        terms[a >> g.m][(k, *(a >> i & 1 for i in range(g.m)))] = 1
+    values = {}
+    for mult in tuples:
+        weights = [(1 - q) ** m_e - 1 for m_e in mult]
+        z0, z1 = (eval_terms(t, q, *weights) for t in terms)
+        values[mult] = (_flow_value(z0 - q * z1, q, g.n, sum(mult) + 1), _flow_value(z0, q, g.n, sum(mult)))
+    return values
+
+
 def flow_correlation_mc(g: Multigraph, lam: float, q, x: int, y: int, cfg) -> dict:
     """Estimate E[C(G_P^{x,y}; q)] / E[C(G_P; q)] over ``cfg.samples``
     Poisson(lam) thickenings, evaluating G and its (x, y)-extension once per
-    distinct multiplicity tuple.  The extension has |E| + 1 edges, so it
-    meets the subset budget first.
+    distinct multiplicity tuple.
 
     Under the beta = lam*q bridge this ratio equals q*tau_{beta,q}(x,y).
     """
     if x == y:
         raise ValueError("x and y must be distinct")
-    gx = _extended(g, x, y)
     draws = _poisson_draws(g, lam, make_rng(cfg.seed), cfg.samples)
     draws = [tuple(row) for row in draws.tolist()]
-    values = {
-        mult: (flow_count_multiplicities(gx, mult + (1,), q), flow_count_multiplicities(g, mult, q))
-        for mult in dict.fromkeys(draws)
-    }
+    pairs = _flow_pairs(g, x, y, q, dict.fromkeys(draws))
+    values = {m: (float(num), float(den)) for m, (num, den) in pairs.items()}  # once per value, not per sample
     return _ratio_estimate([values[m][0] for m in draws], [values[m][1] for m in draws])
 
 

@@ -138,8 +138,8 @@ def eval_terms(terms, *xs):
     if not all(isinstance(x, (int, Fraction)) for x in xs):
         return sum(reduce(lambda t, xe: t * xe[0] ** xe[1], zip(xs, es), c) for es, c in terms.items())
     tables, den, whole = [], 1, True
-    for t, x in enumerate(xs):
-        exps = {0}.union(es[t] for es in terms)
+    for x, column in zip(xs, zip(*terms)):  # column: x's exponent in every term
+        exps = {0, *column}
         lo, hi, a, b = min(exps), max(exps), x.numerator, x.denominator
         tables.append({e: a ** (e - lo) * b ** (hi - e) for e in exps})
         den *= a**-lo * b**hi

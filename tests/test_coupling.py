@@ -28,6 +28,9 @@ from rcpotts.measures import (
     rc_measure_table,
 )
 
+from .test_graphs import petersen
+from .test_measures import torus
+
 F = Fraction
 EDGE = Multigraph(2, ((0, 1),))
 MULTI = Multigraph(5, ((0, 1), (1, 1), (1, 2), (0, 1), (2, 3)))
@@ -54,6 +57,22 @@ STREAM_DIGESTS = {
                "0c6093e683465db13793e26a4f619d4f8bdf79d7e74ee8bd19ade804b60ab8ce"),
     "low-p": (cycle(12), 1e-9, 5, SamplerConfig(seed=6, burn_in=0, samples=50), 0,
               "b220fe987c7954102b3aa4a64603df1ba49d5af6de40b476765d8d8e3f88bc45"),
+    # about 39,000 words: redrawn and kept halves across nine block refills
+    "q-rejection-long": (MULTI, 0.6, 3 * 2**30 + 5, SamplerConfig(seed=9, burn_in=0, samples=6000), 1,
+                         "b269f7b7ed88ccc7f85bd2392e8b169540672af5d778a1e886782226de1f7263"),
+    # the benchmark's Swendsen-Wang graphs
+    "petersen-q2": (petersen(), 0.4, 2, SamplerConfig(seed=21, burn_in=10, samples=2000), 0,
+                    "717aa747253b4927cc426f65b96846bd337649e05ae36a9ab25ed2bfd019a6dd"),
+    "petersen-q3": (petersen(), 0.6, 3, SamplerConfig(seed=22, burn_in=10, samples=2000), 0,
+                    "cc493bc4751406da3459d24570b83ac541e861bfe01ba45b643ad7fd5baa8f9d"),
+    "torus3-q2": (torus(3), 0.6, 2, SamplerConfig(seed=23, burn_in=10, samples=2000), 0,
+                  "7c88518e9c972ecaa65883a75848ef8a26a42913ca8a5267c3ce52463a6d8ee6"),
+    "torus3-q3": (torus(3), 0.4, 3, SamplerConfig(seed=24, burn_in=10, samples=2000), 0,
+                  "6bda9ea93d66c0fd77e750ffdc0e3e662441ffdf41ba8032a9a5a8a6e80d73e1"),
+    "c12-q2": (cycle(12), 0.5, 2, SamplerConfig(seed=25, burn_in=10, samples=2000), 0,
+               "95bd09a5352ac2e12376f5da588e4d0e5aeeef3a56f2df3c5ff4219b2f8314c7"),
+    "c12-q3": (cycle(12), 0.5, 3, SamplerConfig(seed=26, burn_in=10, samples=2000), 0,
+               "9034c2d0c860fd046b02df030f2f1f69125f4fbb57237f1bf7b953a6b1821123"),
 }
 
 
@@ -176,6 +195,17 @@ class TestRng:
             assert draws.integers(1, 5) == [0] * 5
             assert draws.integers(2**32, 3) == rng.integers(0, 2**32, size=3).tolist()
 
+    def test_kept_half_survives_a_refill(self):
+        # one draw leaves its word's high half kept; 5,000 doubles then force
+        # a refill before the next 32-bit draw, which must read that half
+        for seed in range(5):
+            for q in (3, 1000, 3 * 2**30 + 5):
+                rng = make_rng(seed)
+                draws = _RawDraws(make_rng(seed).bit_generator, 0.5)
+                assert draws.integers(q, 3) == rng.integers(0, q, size=3).tolist()
+                assert draws.below(5000) == [i for i, r in enumerate(rng.random(5000).tolist()) if r < 0.5]
+                assert draws.integers(q, 9) == rng.integers(0, q, size=9).tolist()
+
     def test_raw_reader_cut_at_drawn_values(self):
         # p equal to a drawn double: that draw is not below p.  A word whose
         # low 11 bits are zero sits exactly on the cut, so an off-by-one cut
@@ -196,7 +226,7 @@ class TestRng:
         for _ in range(30):
             n = plan.randint(1, 8)
             g = Multigraph(n, tuple((plan.randrange(n), plan.randrange(n)) for _ in range(plan.randint(0, 14))))
-            p, q = plan.choice((1e-3, 0.3, 0.8, F(2, 7))), plan.choice((2, 3, 7, 3 * 2**30 + 5, 2**40))
+            p, q = plan.choice((1e-3, 0.3, 0.8, F(2, 7), np.float32(0.3))), plan.choice((2, 3, 7, 3 * 2**30 + 5, 2**40))
             cfg = SamplerConfig(seed=plan.randrange(1000), burn_in=plan.randint(0, 3), samples=20,
                                 thinning=plan.randint(1, 2))
             stream = plan.randint(0, 2)
@@ -274,8 +304,20 @@ class TestSampler:
         for q in (2**63 + 1, 2**64):
             with pytest.raises(ValueError, match=r"q must be at most 2\*\*63"):
                 list(sw_sample(triangle(), 0.5, q, SamplerConfig()))
+        for p in (0.5j, "0.5", None):
+            with pytest.raises(ValueError, match="p must be a real number"):
+                list(sw_sample(triangle(), p, 2, SamplerConfig()))
         with pytest.raises(ValueError):
             SamplerConfig(samples=0)
+
+    def test_numpy_real_p_is_its_double(self):
+        # float32 -> float64 is exact, so a numpy p draws the chain of its double
+        cfg = SamplerConfig(seed=4, burn_in=2, samples=50)
+        for p in (np.float32(0.3), np.float16(0.6), np.float64(0.45)):
+            assert list(sw_sample(MULTI, p, 3, cfg)) == list(sw_sample(MULTI, float(p), 3, cfg))
+        rng, spins = make_rng(2), (0, 0, 1, 0, 2)
+        assert bonds_given_spins(MULTI, spins, np.float32(0.3), rng) == bonds_given_spins(
+            MULTI, spins, float(np.float32(0.3)), make_rng(2))
 
     def test_two_point_matches_exact_within_three_se(self):
         g = triangle()

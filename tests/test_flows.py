@@ -12,6 +12,7 @@ from rcpotts.families import connected_multigraphs_upto, random_multigraph, simp
 from rcpotts.flows import (
     OrientedMultigraph,
     PoissonGraphSample,
+    _flow_pairs,
     compflow_identity,
     count_flows,
     even_ratio_mc,
@@ -114,12 +115,33 @@ class TestBundleRoute:
         (lambda g: compflow_identity(g, 0.5, 2), 25),
         (lambda g: flow_correlation_mc(g, 0.5, 3, 0, 1, SamplerConfig(samples=10)), 24),
         (lambda g: flow_connection_mc(g, 0.5, 2, 0, 1, SamplerConfig(samples=10)), 24),
+        (lambda g: flow_connection_mc(g, 0.5, F(3, 2), 0, 1, SamplerConfig(samples=10)), 24),
     ],
-    ids=["flow_count_multiplicities", "compflow_identity", "flow_correlation_mc", "flow_connection_mc"],
+    ids=["flow_count_multiplicities", "compflow_identity", "flow_correlation_mc", "flow_connection_mc",
+         "flow_connection_mc-fraction"],
 )
 def test_enumeration_cap(call, m):
     with pytest.raises(EnumerationCapExceeded):
         call(Multigraph(2, ((0, 1),) * m))
+
+
+@pytest.mark.parametrize(("g", "x", "y"), [
+    (triangle(), 0, 1),
+    (cycle(4), 0, 2),
+    (Multigraph(5, ((0, 1), (1, 1), (1, 2), (0, 1), (2, 3))), 0, 3),
+], ids=["triangle", "C4", "MULTI"])
+@pytest.mark.parametrize("q", [F(1, 2), F(3, 2), F(5, 2), 3])
+def test_estimators_term_table_matches_bundle_route(g, x, y, q):
+    # the estimators' subset-term tables, read per multiplicity tuple, against
+    # flow_count_multiplicities on G and its (x, y)-extension
+    rng = make_rng(17)
+    tuples = dict.fromkeys(tuple(row) for row in rng.poisson(0.8, size=(60, g.m)).tolist())
+    tuples.update(dict.fromkeys([(0,) * g.m, (3,) * g.m]))
+    extended = Multigraph(g.n, g.edges + ((x, y),))
+    for mult, (num, den) in _flow_pairs(g, x, y, q, tuples).items():
+        expected = (flow_count_multiplicities(extended, mult + (1,), q), flow_count_multiplicities(g, mult, q))
+        assert (num, den) == expected
+        assert (type(num), type(den)) == tuple(map(type, expected))
 
 
 # (estimate, se, n) of flow_correlation_mc (lam = 1/2, q = 3), flow_connection_mc

@@ -53,6 +53,11 @@ MUTANTS = [
     ("contraction child's loop drop removed", "polynomials.py",
      "_DELETION, _CONTRACTION = (False, True), (True, False)",
      "_DELETION, _CONTRACTION = (False, True), (False, False)"),
+    ("redrawn 32-bit halves accepted by the spin-draw table", "coupling.py",
+     "np.flatnonzero(prods.astype(np.uint32) < _U32 % q).tolist())", "[])"),
+    ("kept half dropped at a refill", "coupling.py",
+     "self._below = np.flatnonzero(self._words <= self._cut).tolist()",
+     "self._below, self._half = np.flatnonzero(self._words <= self._cut).tolist(), None"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
