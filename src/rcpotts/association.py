@@ -25,7 +25,7 @@ from math import lcm
 
 import numpy as np
 
-from .graphs import Multigraph, check_budget, edge_subsets, is_connected, subset_size_components
+from .graphs import Multigraph, check_budget, edge_subsets, is_connected, subset_size_components, to_json_dict
 from .measures import MeasureTable, RCParams, rc_measure_table
 from .coupling import make_rng
 
@@ -529,8 +529,7 @@ def conjecture_forest_scan(graphs, full_na_cap: int = UPSET_EDGE_CAP) -> dict:
                 found = {"edge-na": negative_association_checks_edge_only(table)["witness"]}
             for check, witness in found.items():
                 if witness is not None:
-                    graph = {"n": g.n, "edges": [list(e) for e in g.edges]}
-                    witnesses.append({"kind": kind, "check": check, "graph": graph, "witness": witness})
+                    witnesses.append({"kind": kind, "check": check, "graph": to_json_dict(g), "witness": witness})
     return {
         "identity": "forest-ucs-conjecture-scan",
         "graphs_scanned": scanned,

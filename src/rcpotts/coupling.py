@@ -28,7 +28,7 @@ from numbers import Real
 import numpy as np
 
 from .graphs import CLUSTER_BATCH, Multigraph, check_budget, cluster_labels, open_clusters, spin_configs
-from .measures import MeasureTable, _check_vertices
+from .measures import MeasureTable
 
 
 @dataclass(frozen=True)
@@ -285,17 +285,21 @@ def sw_sample(g: Multigraph, p: float, q: int, cfg: SamplerConfig, stream: int =
         yield JointConfig(spins, bonds)
 
 
+def _batches(values: np.ndarray) -> np.ndarray:
+    """The means of min(32, n) equal runs of ``values``, the last n mod 32 dropped."""
+    n_batches = min(32, len(values)) or 1
+    return values[: len(values) - len(values) % n_batches].reshape(n_batches, -1).mean(axis=1)
+
+
+def _batch_error(batches: np.ndarray) -> float:
+    """Standard error of a mean from its batch estimates (ddof = 1); 0.0 from fewer than two."""
+    return float(batches.std(ddof=1) / math.sqrt(len(batches))) if len(batches) > 1 else 0.0
+
+
 def batch_means(values) -> tuple[float, float]:
     """Sample mean and batch-means standard error over at most 32 batches."""
     values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    n_batches = min(32, len(values))
-    if n_batches < 2:
-        return mean, 0.0
-    usable = len(values) - len(values) % n_batches
-    batches = values[:usable].reshape(n_batches, -1).mean(axis=1)
-    se = float(batches.std(ddof=1) / math.sqrt(n_batches))
-    return mean, se
+    return float(values.mean()), _batch_error(_batches(values))
 
 
 def estimate_two_point(g: Multigraph, samples, x: int, y: int, q: int) -> dict:
@@ -306,7 +310,7 @@ def estimate_two_point(g: Multigraph, samples, x: int, y: int, q: int) -> dict:
     batch-means standard error.  The bond sets are labelled CLUSTER_BATCH
     at a time by ``cluster_labels``.
     """
-    _check_vertices(g, x, y)
+    g.check_vertices(x, y)
     agree = []
     conn = []
     samples = iter(samples)

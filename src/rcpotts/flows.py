@@ -6,9 +6,9 @@ enumerator over edge values (the oracle) and parallel reduction, which merges
 each bundle of parallel edges into one edge of the multivariate Tutte sum so
 that a Poisson-thickened graph's flow polynomial, at integer, rational or
 real q, is one pass over its base graph's edge subsets (fast enough for
-Monte Carlo).  At int or Fraction q the Monte Carlo ratios tabulate those
-subsets' terms once per call and evaluate every sample through
-``eval_terms``, in integers over one common denominator.
+Monte Carlo).  The Monte Carlo ratios tabulate those subsets' terms once
+per call and evaluate every sample through ``eval_terms``, in integers over
+one common denominator; a float q is read as the rational its double equals.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
-from .graphs import Multigraph, check_budget, edge_subsets, open_clusters, subset_size_components
-from .measures import RCParams, _check_vertices, _connection_probs, rc_partition
-from .coupling import make_rng
+from .graphs import Multigraph, check_budget, edge_subsets, open_clusters, subset_size_components, to_json_dict
+from .measures import RCParams, _connection_probs, rc_partition
+from .coupling import _batch_error, _batches, make_rng
 from .polynomials import eval_terms, multivariate_tutte
 
 
@@ -139,26 +139,28 @@ def poisson_sample(
     return PoissonGraphSample(g, tuple(_poisson_draws(g, lam, rng, 1)[0].tolist()), attach)
 
 
-def _extended(g: Multigraph, x: int, y: int) -> Multigraph:
-    return Multigraph(g.n, g.edges + ((x, y),))
+def _exact_q(q):
+    """q as the estimators evaluate it: an int or Fraction as itself, any
+    other finite real (numpy scalars too) as the Fraction its double equals."""
+    if isinstance(q, (Integral, Fraction)):
+        return int(q) if isinstance(q, Integral) else q
+    if not (isinstance(q, Real) and math.isfinite(q)):
+        raise ValueError("q must be a finite real number")
+    return Fraction(float(q))
 
 
 def _flow_pairs(g: Multigraph, x: int, y: int, q, tuples) -> dict:
-    """(C(G_m^{x,y}; q), C(G_m; q)) for each multiplicity tuple m.
-
-    At int or Fraction q both values come from one pass over the
+    """(C(G_m^{x,y}; q), C(G_m; q)) for each multiplicity tuple m, exact at
+    q as ``_exact_q`` reads it.  Both come from one pass over the
     (x, y)-extension's subsets, tabulated once as terms (k(A), bit of each
     base edge in A), split by whether A holds the extra edge: with Z0 and Z1
     the ``eval_terms`` sums of the two tables, G's Tutte sum is Z0 and the
-    extension's Z0 - q Z1, the extra edge's weight being (1 - q) - 1.  Float
-    q takes ``flow_count_multiplicities``.  The extension has |E| + 1 edges,
-    so it meets the subset budget first.
+    extension's Z0 - q Z1, the extra edge's weight being (1 - q) - 1.  The
+    tables hold 2^(|E| + 1) entries, within the table budget.
     """
-    gx = _extended(g, x, y)
-    if not isinstance(q, (Integral, Fraction)):
-        return {mult: (flow_count_multiplicities(gx, mult + (1,), q), flow_count_multiplicities(g, mult, q))
-                for mult in tuples}
-    q = int(q) if isinstance(q, Integral) else q
+    q = _exact_q(q)
+    gx = Multigraph(g.n, g.edges + ((x, y),))
+    check_budget("table", 1 << gx.m)
     terms = ({}, {})  # A without and with the extra edge, edge g.m of gx
     for a, k, _ in edge_subsets(gx):
         terms[a >> g.m][(k, *(a >> i & 1 for i in range(g.m)))] = 1
@@ -190,17 +192,12 @@ def _ratio_estimate(nums, dens) -> dict:
     """Ratio-of-means estimate with a batch-means standard error."""
     nums = np.asarray(nums, dtype=float)
     dens = np.asarray(dens, dtype=float)
-    n_batches = min(32, len(nums))
-    usable = len(nums) - len(nums) % n_batches
-    bn = nums[:usable].reshape(n_batches, -1).mean(axis=1)
-    bd = dens[:usable].reshape(n_batches, -1).mean(axis=1)
+    bn, bd = _batches(nums), _batches(dens)
     if bd.min() <= 0 and dens.mean() == 0:
         raise ZeroDivisionError("denominator expectation estimate is zero")
     ratios = bn / np.where(bd == 0, np.nan, bd)
-    ratios = ratios[np.isfinite(ratios)]
     estimate = float(nums.mean() / dens.mean())
-    se = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
-    return {"estimate": estimate, "se": se, "n": len(nums)}
+    return {"estimate": estimate, "se": _batch_error(ratios[np.isfinite(ratios)]), "n": len(nums)}
 
 
 def even_ratio_mc(g: Multigraph, lam: float, x: int, y: int, cfg) -> dict:
@@ -231,7 +228,8 @@ def flow_connection_mc(
     on samples with isolated vertices the sign tracks the component count.
     ``cache`` is no longer used: parallel reduction needs no Tutte table.
     """
-    if not (0 < p < 1) or not float(q) > 0:
+    q = _exact_q(q)
+    if not (0 < p < 1) or not q > 0:
         raise ValueError("need p in (0,1) and q > 0")
     lam = -math.log(1.0 - p) / float(q)
     return {**flow_correlation_mc(g, lam, q, x, y, cfg), "lambda": lam}
@@ -317,7 +315,7 @@ def simon_check(g: Multigraph, p: Fraction, q: Fraction, x: int, z: int) -> dict
     if x == z:
         raise ValueError("x and z must be distinct")
     params = RCParams(Fraction(p), Fraction(q))
-    _check_vertices(g, x, z)
+    g.check_vertices(x, z)
     others = [y for y in range(g.n) if y not in (x, z)]
     pairs = [(x, z), *((x, y) for y in others), *((y, z) for y in others)]
     phi = _connection_probs(g, params, pairs)  # one subset pass for every separator
@@ -328,16 +326,8 @@ def simon_check(g: Multigraph, p: Fraction, q: Fraction, x: int, z: int) -> dict
         rhs = sum(phi[x, y] * phi[y, z] for y in w)
         checked += 1
         if lhs > rhs:
-            violations.append(
-                {
-                    "W": list(w),
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                    "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
-                    "p": str(params.p),
-                    "q": str(params.q),
-                }
-            )
+            violations.append({"W": list(w), "lhs": str(lhs), "rhs": str(rhs), "graph": to_json_dict(g),
+                               "p": str(params.p), "q": str(params.q)})
     return {
         "identity": "simon",
         "instances": checked,

@@ -16,9 +16,10 @@ import numpy as np
 
 # The one enumeration budget: the most configurations of each kind that any
 # call may enumerate or store.  "table" counts the entries of an explicit
-# measure table, "minors" the entries of one deletion-contraction memo (about
-# 1.2 kB each on the 4x5 grid, whose 151,755 entries peak at 207 MB RSS),
-# "kn_terms" the terms one exact recursion on the complete graph K_n sums.
+# measure table or of the flow estimators' term tables (about 209 B each),
+# "minors" the entries of one deletion-contraction memo (about 1.2 kB each on
+# the 4x5 grid, whose 151,755 entries peak at 207 MB RSS), "kn_terms" the
+# terms one exact recursion on the complete graph K_n sums.
 BUDGET = {"subsets": 1 << 24, "spins": 10**7, "flows": 10**8, "table": 1 << 20, "minors": 1 << 18, "kn_terms": 1 << 14}
 
 
@@ -65,6 +66,10 @@ class Multigraph:
 
     def full_subset(self) -> int:
         return (1 << self.m) - 1
+
+    def check_vertices(self, *vertices: int) -> None:
+        if not all(0 <= x < self.n for x in vertices):
+            raise ValueError("vertex out of range")
 
     def check_subset(self, a: int) -> None:
         if a < 0 or a >> self.m:
@@ -205,15 +210,34 @@ def cluster_labels(g: Multigraph, subsets) -> np.ndarray:
     return labels.T
 
 
+def _tally(stream, pairs) -> tuple[Counter, dict]:
+    """``(counts, hits)`` over the ``(key, labels)`` items of ``stream``: the
+    items per key, and for each pair (x, y) the items with labels[x] ==
+    labels[y].  Each tally lists its keys in the order the stream first
+    meets them; without pairs one ``Counter`` reads the keys."""
+    if not pairs:
+        return Counter(key for key, _ in stream), {}
+    counts, hits = Counter(), {pair: Counter() for pair in pairs}
+    for key, labels in stream:
+        counts[key] += 1
+        for (x, y), hit in hits.items():
+            if labels[x] == labels[y]:
+                hit[key] += 1
+    return counts, hits
+
+
 def subset_counts(g: Multigraph, pairs=()) -> tuple[Counter, dict]:
     """``(counts, hits)``: the number of edge subsets A per key (|A|, k(A)),
     and for each vertex pair (x, y) in ``pairs`` the same tally over the
     subsets that join x and y.  Counts are exact Python ints, and ``counts``
     lists its keys in the order ``edge_subsets`` first meets them, so a float
     sum over ``counts.items()`` adds its terms in the same order on both paths.
+    Each ``hits`` tally lists its keys in ``counts``' order on the block path
+    but in its own first-met order below the crossover; the two orders differ
+    for about half of all pair tallies, and every caller reads them exactly.
     A repeated pair is counted once; a vertex out of range raises ValueError.
 
-    Below SUBSET_CROSSOVER edges the tallies read ``edge_subsets``.  From it
+    Below SUBSET_CROSSOVER edges ``_tally`` reads ``edge_subsets``.  From it
     on, the low c = min(m, SUBSET_BLOCK_EDGES) edges (fewer if 2^c * n would
     pass SUBSET_BLOCK_LABELS) form one numpy block, built once per call:
     column r holds low subset r as a label per vertex and one key
@@ -238,19 +262,9 @@ def subset_counts(g: Multigraph, pairs=()) -> tuple[Counter, dict]:
     """
     check_budget("subsets", 1 << g.m)
     pairs = list(dict.fromkeys(pairs))
-    if not all(0 <= x < g.n for pair in pairs for x in pair):
-        raise ValueError("vertex out of range")
+    g.check_vertices(*chain.from_iterable(pairs))
     if g.m < SUBSET_CROSSOVER:
-        if not pairs:
-            return Counter((a.bit_count(), k) for a, k, _ in edge_subsets(g)), {}
-        counts, hits = Counter(), {pair: Counter() for pair in pairs}
-        for a, k, labels in edge_subsets(g):
-            key = (a.bit_count(), k)
-            counts[key] += 1
-            for (x, y), hit in hits.items():
-                if labels[x] == labels[y]:
-                    hit[key] += 1
-        return counts, hits
+        return _tally((((a.bit_count(), k), labels) for a, k, labels in edge_subsets(g)), pairs)
 
     n = g.n
     c = min(g.m, SUBSET_BLOCK_EDGES, max((SUBSET_BLOCK_LABELS // n).bit_length() - 1, 0))
@@ -318,18 +332,10 @@ def spin_counts(g: Multigraph, q: int, couplings=None, pairs=()) -> tuple[Counte
     """
     check_budget("spins", q**g.n)
     pairs = list(dict.fromkeys(pairs))
-    if not all(0 <= x < g.n for pair in pairs for x in pair):
-        raise ValueError("vertex out of range")
+    g.check_vertices(*chain.from_iterable(pairs))
     if q**g.n < SPIN_CROSSOVER:
         exponent = _exponent(couplings)
-        counts, hits = Counter(), {pair: Counter() for pair in pairs}
-        for s, agree in spin_configs(g, q):
-            j = exponent(agree)
-            counts[j] += 1
-            for (x, y), hit in hits.items():
-                if s[x] == s[y]:
-                    hit[j] += 1
-        return counts, hits
+        return _tally(((exponent(agree), s) for s, agree in spin_configs(g, q)), pairs)
 
     n, js = g.n, [1] * g.m if couplings is None else list(couplings)
     lo, width = sum(j for j in js if j < 0), sum(map(abs, js)) + 1

@@ -96,11 +96,6 @@ def rc_measure_table(g: Multigraph, params: RCParams) -> MeasureTable:
     )
 
 
-def _check_vertices(g: Multigraph, *vertices: int) -> None:
-    if not all(0 <= x < g.n for x in vertices):
-        raise ValueError("vertex out of range")
-
-
 def _connection_probs(g: Multigraph, params: RCParams, pairs) -> dict:
     """phi_{p,q}(x <-> y) for each vertex pair in ``pairs``, in one subset pass."""
     counts, hits = subset_counts(g, pairs)
@@ -110,7 +105,7 @@ def _connection_probs(g: Multigraph, params: RCParams, pairs) -> dict:
 
 def rc_connection_prob(g: Multigraph, params: RCParams, x: int, y: int) -> Fraction:
     """phi_{p,q}(x <-> y), exact."""
-    _check_vertices(g, x, y)
+    g.check_vertices(x, y)
     if x == y:
         return Fraction(1)
     return _connection_probs(g, params, [(x, y)])[x, y]
@@ -174,7 +169,7 @@ def potts_partition(g: Multigraph, params: PottsParams) -> float:
 
 def potts_two_point(g: Multigraph, params: PottsParams, x: int, y: int) -> float:
     """tau(x,y) = pi(sigma_x = sigma_y) - 1/q, floating point."""
-    _check_vertices(g, x, y)
+    g.check_vertices(x, y)
     _, z, hits = _potts_float_sums(g, params, [(x, y)])
     return hits[x, y] / z - 1.0 / params.q
 
@@ -189,7 +184,7 @@ def _potts_two_points_exact(g: Multigraph, q: int, w: Fraction, pairs) -> dict:
 
 def potts_two_point_exact(g: Multigraph, q: int, w: Fraction, x: int, y: int) -> Fraction:
     """tau(x,y) = pi(sigma_x = sigma_y) - 1/q with e^beta = w exact."""
-    _check_vertices(g, x, y)
+    g.check_vertices(x, y)
     return _potts_two_points_exact(g, q, w, [(x, y)])[x, y]
 
 

@@ -151,7 +151,7 @@ def eval_terms(terms, *xs):
 def eval_poly(p: BivariatePolynomial, x, y):
     """Evaluate ``p`` through ``eval_terms``: Fraction (or int) inputs are the
     exact path and give an exact result, float inputs a float."""
-    return p.evaluate(x, y)
+    return eval_terms(p.terms, x, y)
 
 
 def rank_gen_poly(g: Multigraph) -> BivariatePolynomial:

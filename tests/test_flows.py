@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -106,8 +107,19 @@ class TestBundleRoute:
         assert flow_count_multiplicities(g, mult, 2.5) == pytest.approx(float(exact), rel=1e-12)
 
 
+def _before_any_table(estimator, q):
+    """The estimator at q with the subset pass that fills its term tables
+    failing, so that only a refusal before tabulating raises the cap."""
+    def call(g):
+        with mock.patch("rcpotts.flows.edge_subsets", side_effect=AssertionError("a term table was built")):
+            return estimator(g, 0.5, q, 0, 1, SamplerConfig(samples=10))
+    return call
+
+
 # The estimators also enumerate the (x, y)-extension, one edge more than the
-# base graph, so they refuse 24 base edges; the others refuse 25.
+# base graph, so they refuse 24 base edges; the others refuse 25.  Their two
+# term tables hold 2^(|E| + 1) entries, so the table budget already refuses
+# 20 base edges, before any table is built.
 @pytest.mark.parametrize(
     ("call", "m"),
     [
@@ -116,9 +128,14 @@ class TestBundleRoute:
         (lambda g: flow_correlation_mc(g, 0.5, 3, 0, 1, SamplerConfig(samples=10)), 24),
         (lambda g: flow_connection_mc(g, 0.5, 2, 0, 1, SamplerConfig(samples=10)), 24),
         (lambda g: flow_connection_mc(g, 0.5, F(3, 2), 0, 1, SamplerConfig(samples=10)), 24),
+        (_before_any_table(flow_correlation_mc, 3), 20),
+        (_before_any_table(flow_correlation_mc, F(3, 2)), 20),
+        (_before_any_table(flow_connection_mc, 2), 20),
+        (_before_any_table(flow_connection_mc, F(3, 2)), 20),
     ],
     ids=["flow_count_multiplicities", "compflow_identity", "flow_correlation_mc", "flow_connection_mc",
-         "flow_connection_mc-fraction"],
+         "flow_connection_mc-fraction", "flow_correlation_mc-table", "flow_correlation_mc-fraction-table",
+         "flow_connection_mc-table", "flow_connection_mc-fraction-table"],
 )
 def test_enumeration_cap(call, m):
     with pytest.raises(EnumerationCapExceeded):
@@ -142,6 +159,23 @@ def test_estimators_term_table_matches_bundle_route(g, x, y, q):
         expected = (flow_count_multiplicities(extended, mult + (1,), q), flow_count_multiplicities(g, mult, q))
         assert (num, den) == expected
         assert (type(num), type(den)) == tuple(map(type, expected))
+
+
+@pytest.mark.parametrize("q", [1.5, 2.5, 1.3, np.float32(1.3), np.float64(2.7)], ids=repr)
+def test_real_q_is_the_rational_its_double_equals(q):
+    g = Multigraph(5, ((0, 1), (1, 1), (1, 2), (0, 1), (2, 3)))
+    rng = make_rng(17)
+    tuples = dict.fromkeys(tuple(row) for row in rng.poisson(0.8, size=(60, g.m)).tolist())
+    values, exact = _flow_pairs(g, 0, 3, q, tuples), _flow_pairs(g, 0, 3, F(float(q)), tuples)
+    assert values == exact
+    assert {type(v) for pair in values.values() for v in pair} == {Fraction}
+
+
+@pytest.mark.parametrize("q", [1.5 + 0.5j, math.nan, math.inf, "3/2"], ids=repr)
+@pytest.mark.parametrize("estimator", [flow_correlation_mc, flow_connection_mc])
+def test_q_not_a_finite_real(estimator, q):
+    with pytest.raises(ValueError, match="q must be a finite real number"):
+        estimator(triangle(), 0.5, q, 0, 1, SamplerConfig(samples=10))
 
 
 # (estimate, se, n) of flow_correlation_mc (lam = 1/2, q = 3), flow_connection_mc
@@ -170,6 +204,13 @@ def test_seeded_streams_unchanged(name, seed):
         (conn["estimate"], conn["se"], conn["n"], conn["lambda"]),
         (even["estimate"], even["se"], even["n"]),
     ) == SEEDED_STREAMS[name, seed]
+
+
+@pytest.mark.parametrize(("name", "seed"), list(SEEDED_STREAMS))
+def test_float_q_stream_is_the_fraction_stream(name, seed):
+    g, x, y = {"triangle": (triangle(), 0, 1), "C4": (cycle(4), 0, 2)}[name]
+    conn = flow_connection_mc(g, 0.5, 1.5, x, y, SamplerConfig(seed=seed, samples=400))
+    assert (conn["estimate"], conn["se"], conn["n"], conn["lambda"]) == SEEDED_STREAMS[name, seed][1]
 
 
 class TestPoissonSampling:

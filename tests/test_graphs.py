@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from rcpotts import graphs
 from rcpotts.association import uniform_substructure_measure
 from rcpotts.asymptotics import _potts_z_complete, _rc_z_complete, empirical_rate
-from rcpotts.coupling import JointConfig, joint_table, kernel_step_distribution, make_rng
+from rcpotts.coupling import JointConfig, estimate_two_point, joint_table, kernel_step_distribution, make_rng
 from rcpotts.families import random_multigraph
-from rcpotts.flows import compflow_identity, count_flows
+from rcpotts.flows import compflow_identity, count_flows, simon_check
 from rcpotts.graphs import (
     BUDGET,
     SUBSET_BLOCK_EDGES,
@@ -41,7 +41,8 @@ from rcpotts.graphs import (
     subset_counts,
     triangle,
 )
-from rcpotts.measures import MeasureTable, RCParams, rc_measure_table
+from rcpotts.measures import (MeasureTable, PottsParams, RCParams, potts_two_point, potts_two_point_exact,
+                              rc_connection_prob, rc_measure_table)
 from rcpotts.polynomials import TutteCache, count_spanning_trees, rank_gen_poly, tutte_from_rank_gen, tutte_poly
 from .conftest import agreement_oracle, bfs_component_count, bfs_reachable, seeded_multigraph
 
@@ -563,3 +564,26 @@ class TestIsEven:
 def test_out_of_range_edge_rejected():
     with pytest.raises(ValueError):
         Multigraph(2, ((0, 2),))
+
+
+# Every public entry that takes vertices refuses one out of range with the
+# same error, the kernels on both sides of their crossovers.
+VERTEX_ENTRIES = {
+    "rc_connection_prob": lambda g, x: rc_connection_prob(g, RCParams(Fraction(1, 2), Fraction(2)), 0, x),
+    "potts_two_point": lambda g, x: potts_two_point(g, PottsParams(beta=1.0, q=2), x, 0),
+    "potts_two_point_exact": lambda g, x: potts_two_point_exact(g, 2, Fraction(2), 0, x),
+    "estimate_two_point": lambda g, x: estimate_two_point(g, iter(()), 0, x, 2),
+    "simon_check": lambda g, x: simon_check(g, Fraction(1, 2), Fraction(2), 0, x),
+    "subset_counts": lambda g, x: subset_counts(g, [(0, 1), (0, x)]),
+    "spin_counts": lambda g, x: spin_counts(g, 3, pairs=[(0, 1), (x, 0)]),
+}
+
+
+@pytest.mark.parametrize("crossover", ["generator", "blocks"])
+@pytest.mark.parametrize("entry", sorted(VERTEX_ENTRIES))
+@pytest.mark.parametrize("x", [3, -1])
+def test_vertex_out_of_range_everywhere(entry, crossover, x, monkeypatch):
+    monkeypatch.setattr(graphs, "SUBSET_CROSSOVER", 7 if crossover == "generator" else 0)
+    monkeypatch.setattr(graphs, "SPIN_CROSSOVER", 28 if crossover == "generator" else 0)
+    with pytest.raises(ValueError, match="^vertex out of range$"):
+        VERTEX_ENTRIES[entry](triangle(), x)

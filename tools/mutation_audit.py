@@ -58,6 +58,12 @@ MUTANTS = [
     ("kept half dropped at a refill", "coupling.py",
      "self._below = np.flatnonzero(self._words <= self._cut).tolist()",
      "self._below, self._half = np.flatnonzero(self._words <= self._cut).tolist(), None"),
+    ("small-input tally counting a hit when the labels differ", "graphs.py",
+     "if labels[x] == labels[y]:", "if labels[x] != labels[y]:"),
+    ("vertex check accepting x == g.n", "graphs.py",
+     "if not all(0 <= x < self.n for x in vertices):", "if not all(0 <= x <= self.n for x in vertices):"),
+    ("batch error with ddof = 0", "coupling.py",
+     "batches.std(ddof=1)", "batches.std(ddof=0)"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
