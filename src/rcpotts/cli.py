@@ -176,22 +176,22 @@ def _verify_suite(args) -> dict:
     reports = []
     single = [_load_graph(args.graph)] if args.graph else None  # replaces each suite's built-in sweep
 
-    def graphs_for(default_max_edges):
-        return single or graphs_with_few_edges(min(args.max_edges, default_max_edges), connected=True)
+    def graphs_for(default_max_edges, atlas=False):  # atlas: the connected simple graphs on 4 vertices
+        return single or (simple_graphs(4, connected=True) if atlas
+                          else graphs_with_few_edges(min(args.max_edges, default_max_edges), connected=True))
 
     if suite in ("corrconn", "all"):
-        for g in (graphs_for(4) if suite != "all" else simple_graphs(4, connected=True)):
+        for g in graphs_for(4, atlas=suite == "all"):
             for q in (2, 3):
-                r = verify_corr_conn(g, _frac(args.p) if suite != "all" else Fraction(1, 2), q)
-                reports.append(r)
+                reports.append(verify_corr_conn(g, _frac(args.p), q))
     if suite in ("partition", "all"):
         q = _frac(args.q)
         if q.denominator != 1:
             raise UsageError(f"the partition suite needs an integer q, not {args.q!r}")
-        for g in (graphs_for(4) if suite != "all" else simple_graphs(4, connected=True)):
+        for g in graphs_for(4, atlas=suite == "all"):
             reports.append(verify_partition_identity(g, _frac(args.p), int(q)))
     if suite in ("tutte-rcm", "all"):
-        for g in single or simple_graphs(4, connected=True):
+        for g in graphs_for(4, atlas=True):
             reports.append(tutte_rc_identity(g, _frac(args.p), _frac(args.q)))
     if suite in ("fkg", "all"):
         for g in graphs_for(4):

@@ -23,12 +23,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from numbers import Real
 
 import numpy as np
 
 from .graphs import CLUSTER_BATCH, Multigraph, check_budget, cluster_labels, open_clusters, spin_configs
-from .measures import MeasureTable
+from .measures import MeasureTable, _integer_q, _probability
 
 
 @dataclass(frozen=True)
@@ -194,16 +193,6 @@ class _RawDraws:
         return out
 
 
-def _probability(p):
-    """p as the sampler compares against it: a Fraction exactly, any other
-    real (numpy scalars too) as the double it rounds to."""
-    if isinstance(p, Fraction):
-        return p
-    if isinstance(p, Real):
-        return float(p)
-    raise ValueError("p must be a real number")
-
-
 def spins_given_bonds(g: Multigraph, bonds: int, q: int, rng: np.random.Generator) -> tuple:
     """Uniform independent spin per open cluster, constant on clusters; the
     clusters' spins are drawn in ascending order of their union-find roots."""
@@ -215,7 +204,7 @@ def spins_given_bonds(g: Multigraph, bonds: int, q: int, rng: np.random.Generato
 
 def bonds_given_spins(g: Multigraph, spins, p: float, rng: np.random.Generator) -> int:
     """Close every disagreeing edge; open agreeing edges independently with
-    probability p, read as ``sw_sample`` reads it."""
+    probability p, read by ``measures._probability``."""
     p = _probability(p)
     bonds = 0
     for i, (r, (u, v)) in enumerate(zip(rng.random(g.m).tolist(), g.edges)):
@@ -234,15 +223,9 @@ def sw_sample(g: Multigraph, p: float, q: int, cfg: SamplerConfig, stream: int =
     A sweep is one pass over the edges drawn open: each one whose ends agree
     joins the bond set and is merged at once by ``open_clusters``' rule, so
     the clusters' roots come out in ascending order, one spin draw each.
-    A ``Fraction`` p is compared exactly, any other real p (numpy scalars
-    too) as its double; p that is not real raises ``ValueError``.
+    p and q are read by ``measures``' ``_probability`` and ``_integer_q``; q is at most 2**63.
     """
-    p = _probability(p)
-    if not (0 < p < 1):
-        raise ValueError("p must lie in (0,1)")
-    if not (2 <= q < math.inf and q == int(q)):
-        raise ValueError("q must be an integer >= 2")
-    q = int(q)
+    p, q = _probability(p), _integer_q(q)
     if q > 1 << 63:
         raise ValueError("q must be at most 2**63")
     draws = _RawDraws(make_rng(cfg.seed, stream).bit_generator, p)

@@ -8,7 +8,7 @@ that a Poisson-thickened graph's flow polynomial, at integer, rational or
 real q, is one pass over its base graph's edge subsets (fast enough for
 Monte Carlo).  The Monte Carlo ratios tabulate those subsets' terms once
 per call and evaluate every sample through ``eval_terms``, in integers over
-one common denominator; a float q is read as the rational its double equals.
+one common denominator; q and p are read by the readers in ``measures``.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from .graphs import Multigraph, check_budget, edge_subsets, open_clusters, subset_size_components, to_json_dict
-from .measures import RCParams, _connection_probs, rc_partition
+from .measures import RCParams, _connection_probs, _exact_q, _integer_q, _probability, rc_partition
 from .coupling import _batch_error, _batches, make_rng
 from .polynomials import eval_terms, multivariate_tutte
 
@@ -44,8 +44,7 @@ def count_flows(g: Multigraph, q: int, orientation: OrientedMultigraph | None = 
     count is orientation independent; an orientation can be supplied to
     check exactly that.
     """
-    if q < 2:
-        raise ValueError("q must be an integer >= 2")
+    q = _integer_q(q)
     check_budget("flows", (q - 1) ** g.m)
     if g.m == 0:
         return 1
@@ -139,19 +138,9 @@ def poisson_sample(
     return PoissonGraphSample(g, tuple(_poisson_draws(g, lam, rng, 1)[0].tolist()), attach)
 
 
-def _exact_q(q):
-    """q as the estimators evaluate it: an int or Fraction as itself, any
-    other finite real (numpy scalars too) as the Fraction its double equals."""
-    if isinstance(q, (Integral, Fraction)):
-        return int(q) if isinstance(q, Integral) else q
-    if not (isinstance(q, Real) and math.isfinite(q)):
-        raise ValueError("q must be a finite real number")
-    return Fraction(float(q))
-
-
 def _flow_pairs(g: Multigraph, x: int, y: int, q, tuples) -> dict:
     """(C(G_m^{x,y}; q), C(G_m; q)) for each multiplicity tuple m, exact at
-    q as ``_exact_q`` reads it.  Both come from one pass over the
+    q as ``measures._exact_q`` reads it.  Both come from one pass over the
     (x, y)-extension's subsets, tabulated once as terms (k(A), bit of each
     base edge in A), split by whether A holds the extra edge: with Z0 and Z1
     the ``eval_terms`` sums of the two tables, G's Tutte sum is Z0 and the
@@ -179,6 +168,8 @@ def flow_correlation_mc(g: Multigraph, lam: float, q, x: int, y: int, cfg) -> di
 
     Under the beta = lam*q bridge this ratio equals q*tau_{beta,q}(x,y).
     """
+    q = _exact_q(q)
+    g.check_vertices(x, y)
     if x == y:
         raise ValueError("x and y must be distinct")
     draws = _poisson_draws(g, lam, make_rng(cfg.seed), cfg.samples)
@@ -203,6 +194,7 @@ def _ratio_estimate(nums, dens) -> dict:
 def even_ratio_mc(g: Multigraph, lam: float, x: int, y: int, cfg) -> dict:
     """Estimate Pr(G_P^{x,y} even) / Pr(G_P even); the q = 2 special case of
     the flow-correlation ratio, using only degree parities."""
+    g.check_vertices(x, y)
     if x == y:
         raise ValueError("x and y must be distinct")
     draws = _poisson_draws(g, lam, make_rng(cfg.seed), cfg.samples)
@@ -228,9 +220,7 @@ def flow_connection_mc(
     on samples with isolated vertices the sign tracks the component count.
     ``cache`` is no longer used: parallel reduction needs no Tutte table.
     """
-    q = _exact_q(q)
-    if not (0 < p < 1) or not q > 0:
-        raise ValueError("need p in (0,1) and q > 0")
+    q, p = _exact_q(q), _probability(p)
     lam = -math.log(1.0 - p) / float(q)
     return {**flow_correlation_mc(g, lam, q, x, y, cfg), "lambda": lam}
 
@@ -252,8 +242,7 @@ def compflow_identity(
     q^-|V| sum_A q^k(A) a1^|A| a0^(|E|-|A|).  The tail is bounded through
     C(G_m; q) <= (q-1)^(sum of multiplicities).
     """
-    if q < 2:
-        raise ValueError("q must be an integer >= 2")
+    p, q = _probability(p), _integer_q(q)
     lam = -math.log(1.0 - p) / q
     pmf = [_poisson_pmf(lam, m) for m in range(m_max + 1)]
     a0 = sum(w * (-1) ** m for m, w in enumerate(pmf))

@@ -13,10 +13,43 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from numbers import Integral, Real
 
 from .graphs import (Multigraph, _exponent, check_budget, edge_subsets, is_connected, spin_configs, spin_counts,
                      subset_counts, subset_size_components)
 from .polynomials import TutteCache, eval_poly, eval_terms, tutte_poly
+
+
+# ---------------------------------------------------------------------------
+# Model inputs: each is read here, once for every route.
+
+def _integer_q(q) -> int:
+    """q on the spin and flow-count routes: an integral real 2 <= q < inf, as an int."""
+    if not (isinstance(q, Real) and 2 <= q < math.inf and q == int(q)):
+        raise ValueError("q must be an integer >= 2")
+    return int(q)
+
+
+def _probability(p):
+    """p in (0,1): a Fraction kept exact, any other real (numpy scalars too) read as its double."""
+    if not isinstance(p, Real):
+        raise ValueError("p must be a real number")
+    p = p if isinstance(p, Fraction) else float(p)
+    if not 0 < p < 1:
+        raise ValueError("p must lie in (0,1)")
+    return p
+
+
+def _exact_q(q):
+    """q > 0 on the real-q flow routes: an int or Fraction as itself, any
+    other finite real (numpy scalars too) as the Fraction its double equals."""
+    if not isinstance(q, (Integral, Fraction)):
+        if not (isinstance(q, Real) and math.isfinite(q)):
+            raise ValueError("q must be a finite real number")
+        q = Fraction(float(q))
+    if not q > 0:
+        raise ValueError("q must be positive")
+    return int(q) if isinstance(q, Integral) else q
 
 
 @dataclass(frozen=True)
@@ -25,8 +58,7 @@ class RCParams:
     q: Fraction
 
     def __post_init__(self):
-        if not (0 < self.p < 1):
-            raise ValueError("p must lie in (0,1)")
+        _probability(self.p)
         if not self.q > 0:
             raise ValueError("q must be positive")
 
@@ -45,8 +77,7 @@ class PottsParams:
     def __post_init__(self):
         if not math.isfinite(self.beta):
             raise ValueError("beta must be finite")
-        if self.q < 2:
-            raise ValueError("q must be an integer >= 2")
+        object.__setattr__(self, "q", _integer_q(self.q))
         if self.couplings is not None and any(j == 0 for j in self.couplings):
             raise ValueError("couplings must be nonzero")
 
@@ -291,8 +322,8 @@ def zero_temperature_check(g: Multigraph, q: int, beta_schedule) -> dict:
     beta grows, to within 1e-6 (relative and absolute) at the last beta."""
     from .polynomials import chromatic_poly
 
-    chi = float(eval_poly(chromatic_poly(g), Fraction(q), Fraction(0)))
     params = PottsParams(beta=0.0, q=q, couplings=tuple([-1] * g.m))  # beta is set per sum below
+    chi = float(eval_poly(chromatic_poly(g), Fraction(params.q), Fraction(0)))
     counts = spin_counts(g, params.q, params.couplings)[0]  # one enumeration for every beta
     sums = [_float_sums(((b * j, c, ()) for j, c in counts.items()), 0) for b in beta_schedule]
     values = [math.exp(top) * z for top, z, _ in sums]

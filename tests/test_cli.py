@@ -135,6 +135,12 @@ class TestVerify:
         assert run(["verify", suite, "--graph", str(two_components)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_verify_all_on_the_graph_given(self, capsys, triangle_file):
+        # --graph replaces the atlas sweep of corrconn and partition too
+        _, rep = run_json(capsys, ["verify", "all", "--graph", triangle_file])
+        identities = [r["identity"] for r in rep["reports"]]
+        assert identities.count("corr-conn") == 2 and identities.count("partition") == 1
+
     def test_verify_all_golden(self, tmp_path):
         # every report key, value and witness of the full suite, byte for byte
         out = tmp_path / "all.json"
@@ -245,6 +251,8 @@ BAD_INPUTS = {
     "rc-partition-p": ["rc-partition", "--graph", "{tri}", "--p", "3/2", "--q", "2"],
     "flow-count-q": ["flow-count", "--graph", "{tri}", "--q", "0"],
     "flow-corr-mc-vertex": ["flow-corr-mc", "--graph", "{tri}", "--lam", "1", "--q", "2", "--x", "9", "--y", "1"],
+    "flow-corr-mc-q": ["flow-corr-mc", "--graph", "{tri}", "--lam", "1", "--q", "-2", "--x", "0", "--y", "1",
+                       "--samples", "10"],
     "simon-scan-grid": ["simon-scan", "--p-grid", "abc"],
     "edges-not-pairs": ["tutte", "--graph", "{bad}"],
 }

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rcpotts import flows
 from rcpotts.coupling import SamplerConfig, make_rng
 from rcpotts.families import connected_multigraphs_upto, random_multigraph, simple_graphs
 from rcpotts.flows import (
@@ -60,6 +61,12 @@ class TestCountFlows:
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             count_flows(triangle(), 1)
+
+    def test_orientation_dependent_count_fails_invariance(self):
+        # a known-false control: a count that adds the sum of the directions
+        real = flows.count_flows
+        with mock.patch.object(flows, "count_flows", lambda g, q, o: real(g, q, o) + sum(o.directions)):
+            assert orientation_invariance_check(cycle(4), 3)["pass"] is False
 
 
 class TestBundleRoute:
@@ -288,6 +295,22 @@ class TestCompflow:
     def test_deviation_within_tail(self):
         rep = compflow_identity(cycle(4), 0.5, 3, m_max=20)
         assert rep["deviation"] <= rep["tail_bound"] + 1e-9 * abs(rep["z_rc"])
+
+    def test_poisson_weights_off_by_one_percent_fail(self):
+        # a known-false control: every Poisson weight taken at 1.01 lam
+        real = flows._poisson_pmf
+        with mock.patch.object(flows, "_poisson_pmf", lambda lam, m: real(1.01 * lam, m)):
+            rep = compflow_identity(triangle(), 0.5, 2)
+        assert rep["pass"] is False and rep["deviation"] > 1e-2
+
+    def test_z_rc_off_by_three_parts_in_a_billion_fails(self):
+        # a known-false control between one and ten allowances: at q = 2 the
+        # tail bound is 0, so the allowance is 1e-9 |z_rc| alone
+        real = flows.rc_partition
+        with mock.patch.object(flows, "rc_partition", lambda g, params: real(g, params) * F(1_000_000_003, 10**9)):
+            rep = compflow_identity(triangle(), 0.5, 2)
+        assert rep["pass"] is False and rep["tail_bound"] == 0.0
+        assert 1e-9 * rep["z_rc"] < rep["deviation"] < 1e-8 * rep["z_rc"]
 
     def test_golden_report(self):
         # float sums add their terms in subset_counts' key order and multiply

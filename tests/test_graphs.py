@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from rcpotts import graphs
 from rcpotts.association import uniform_substructure_measure
 from rcpotts.asymptotics import _potts_z_complete, _rc_z_complete, empirical_rate
-from rcpotts.coupling import JointConfig, estimate_two_point, joint_table, kernel_step_distribution, make_rng
+from rcpotts.coupling import (JointConfig, SamplerConfig, estimate_two_point, joint_table, kernel_step_distribution,
+                              make_rng)
 from rcpotts.families import random_multigraph
-from rcpotts.flows import compflow_identity, count_flows, simon_check
+from rcpotts.flows import (compflow_identity, count_flows, even_ratio_mc, flow_connection_mc, flow_correlation_mc,
+                           simon_check)
 from rcpotts.graphs import (
     BUDGET,
     SUBSET_BLOCK_EDGES,
@@ -576,6 +578,9 @@ VERTEX_ENTRIES = {
     "simon_check": lambda g, x: simon_check(g, Fraction(1, 2), Fraction(2), 0, x),
     "subset_counts": lambda g, x: subset_counts(g, [(0, 1), (0, x)]),
     "spin_counts": lambda g, x: spin_counts(g, 3, pairs=[(0, 1), (x, 0)]),
+    "flow_correlation_mc": lambda g, x: flow_correlation_mc(g, 0.5, 3, 0, x, SamplerConfig(samples=10)),
+    "flow_connection_mc": lambda g, x: flow_connection_mc(g, 0.5, 3, x, 0, SamplerConfig(samples=10)),
+    "even_ratio_mc": lambda g, x: even_ratio_mc(g, 0.5, 0, x, SamplerConfig(samples=10)),
 }
 
 

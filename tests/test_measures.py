@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
-from rcpotts import graphs, measures
-from rcpotts.coupling import make_rng
+from rcpotts import coupling, flows, graphs, measures
+from rcpotts.coupling import SamplerConfig, bonds_given_spins, make_rng, sw_sample
 from rcpotts.families import connected_multigraphs_upto, random_multigraph, simple_graphs
 from rcpotts.graphs import EnumerationCapExceeded, SUBSET_CROSSOVER, Multigraph, complete, cycle, spin_counts, triangle
 from rcpotts.measures import (
@@ -30,6 +31,7 @@ from rcpotts.measures import (
     verify_partition_identity,
     zero_temperature_check,
 )
+from rcpotts.flows import compflow_identity, count_flows, flow_connection_mc, flow_correlation_mc
 from rcpotts.polynomials import multivariate_tutte
 
 from .conftest import bfs_component_count, bfs_reachable, seeded_multigraph
@@ -414,3 +416,60 @@ class TestZeroTemperature:
     def test_rejects_q_below_two(self):
         with pytest.raises(ValueError):
             zero_temperature_check(triangle(), 1, [2.0])
+
+    def test_schedule_stopping_early_fails(self):
+        # a known-false control: monotone, but far from chi(3) = 18 at beta = 1/2
+        rep = zero_temperature_check(cycle(4), 3, [0.1, 0.5])
+        assert rep["monotone"] and rep["pass"] is False
+
+
+# Each model input has one reader in ``measures``.  Every entry point that
+# takes the input raises that reader's ValueError on a bad value, before any
+# random draw: entry -> (a call on the value, {bad value: message}).
+_INTEGER_Q = dict.fromkeys([2.5, 1, 0, -2, math.nan, "3"], "q must be an integer >= 2")
+_REAL_Q = {0: "q must be positive", -2: "q must be positive",
+           math.nan: "q must be a finite real number", "3": "q must be a finite real number"}
+_P = {**dict.fromkeys([0, 1, 1.5], r"p must lie in \(0,1\)"), "x": "p must be a real number"}
+_CFG = SamplerConfig(burn_in=0, samples=10)
+MODEL_INPUTS = {
+    "PottsParams q": (lambda q: potts_partition(triangle(), PottsParams(beta=1.0, q=q)), _INTEGER_Q),
+    "count_flows q": (lambda q: count_flows(triangle(), q), _INTEGER_Q),
+    "compflow_identity q": (lambda q: compflow_identity(triangle(), 0.3, q), _INTEGER_Q),
+    "sw_sample q": (lambda q: next(sw_sample(triangle(), 0.5, q, _CFG)), _INTEGER_Q),
+    "flow_correlation_mc q": (lambda q: flow_correlation_mc(triangle(), 0.5, q, 0, 1, _CFG), _REAL_Q),
+    "flow_connection_mc q": (lambda q: flow_connection_mc(triangle(), 0.5, q, 0, 1, _CFG), _REAL_Q),
+    "RCParams p": (lambda p: RCParams(p, F(2)), _P),
+    "sw_sample p": (lambda p: next(sw_sample(triangle(), p, 2, _CFG)), _P),
+    "bonds_given_spins p": (lambda p: bonds_given_spins(triangle(), (0, 0, 0), p, None), _P),
+    "flow_connection_mc p": (lambda p: flow_connection_mc(triangle(), p, 2, 0, 1, _CFG), _P),
+    "compflow_identity p": (lambda p: compflow_identity(triangle(), p, 2), _P),
+}
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("a bad input reached the random stream")
+
+
+@pytest.mark.parametrize(
+    "entry, value", [(entry, value) for entry, (_, bad) in MODEL_INPUTS.items() for value in bad], ids=repr
+)
+def test_bad_model_input_raises_its_readers_message(entry, value, monkeypatch):
+    for module in (coupling, flows):
+        monkeypatch.setattr(module, "make_rng", _no_draws)
+    call, bad = MODEL_INPUTS[entry]
+    with pytest.raises(ValueError, match=f"^{bad[value]}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("q", [2.0, np.int64(3)], ids=repr)
+def test_integral_q_reads_as_its_int(q):
+    g = Multigraph(3, ((0, 1), (1, 2), (0, 2), (0, 1)))
+    cfg = SamplerConfig(seed=3, burn_in=2, samples=20)
+    outputs = [
+        lambda q: (PottsParams(beta=0.7, q=q), potts_partition(g, PottsParams(beta=0.7, q=q))),
+        lambda q: count_flows(g, q),
+        lambda q: compflow_identity(g, 0.4, q),
+        lambda q: list(sw_sample(g, 0.6, q, cfg)),
+    ]
+    for output in outputs:
+        assert repr(output(q)) == repr(output(int(q)))

@@ -64,6 +64,18 @@ MUTANTS = [
      "if not all(0 <= x < self.n for x in vertices):", "if not all(0 <= x <= self.n for x in vertices):"),
     ("batch error with ddof = 0", "coupling.py",
      "batches.std(ddof=1)", "batches.std(ddof=0)"),
+    ("zero-temperature check always passing", "measures.py",
+     '"pass": monotone and final_ok,', '"pass": True,'),
+    ("compflow identity at 10 times its allowance", "flows.py",
+     '"pass": deviation <= allowed,', '"pass": deviation <= 10 * allowed,'),
+    ("orientation invariance always passing", "flows.py",
+     '"pass": len(set(counts)) <= 1,', '"pass": True,'),
+    ("integer-q reader accepting a non-integer", "measures.py",
+     "2 <= q < math.inf and q == int(q)", "2 <= q < math.inf"),
+    ("probability reader accepting p = 1", "measures.py",
+     "if not 0 < p < 1:", "if not 0 < p <= 1:"),
+    ("real-q reader accepting q = 0", "measures.py",
+     "if not q > 0:", "if not q >= 0:"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
