@@ -294,6 +294,7 @@ def estimate_two_point(g: Multigraph, samples, x: int, y: int, q: int) -> dict:
     at a time by ``cluster_labels``.
     """
     g.check_vertices(x, y)
+    q = _integer_q(q)
     agree = []
     conn = []
     samples = iter(samples)

@@ -59,6 +59,8 @@ class RCParams:
 
     def __post_init__(self):
         _probability(self.p)
+        if not isinstance(self.q, Real):
+            raise ValueError("q must be a real number")
         if not self.q > 0:
             raise ValueError("q must be positive")
 
@@ -75,6 +77,8 @@ class PottsParams:
     fields: tuple | None = None
 
     def __post_init__(self):
+        if not isinstance(self.beta, Real):
+            raise ValueError("beta must be a real number")
         if not math.isfinite(self.beta):
             raise ValueError("beta must be finite")
         object.__setattr__(self, "q", _integer_q(self.q))

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import groupby
 from math import prod
 from operator import getitem
 
 from .graphs import (
     Multigraph,
     _bridges,
-    _contract_edges,
-    _edges_key,
     canonical_key,
     check_budget,
     component_count,
@@ -185,83 +184,85 @@ _TERM_KEYS = [[(i, j) for j in range(32)] for i in range(32)]
 
 
 def tutte_poly(g: Multigraph, cache: TutteCache | None = None) -> BivariatePolynomial:
-    """Tutte polynomial T(x, y) by deletion-contraction.
+    """Tutte polynomial T(x, y) by deletion-contraction on parallel classes.
 
-    Each minor is peeled before branching: its loops are dropped (factor y
-    each) and the bridges one lowlink pass finds are contracted (factor x
-    each); edge 0 of what is left is branched on as T = T(delete) +
-    T(contract).  Satisfies T(x, y) = (x-1)^(|V|-1) W(1/(x-1), y-1) on
-    connected graphs.  The minors are plain ``(n, edges)`` tuples, memoised
-    in a table that lives for this call and holds at most BUDGET["minors"]
-    entries.  Without ``cache`` nothing is kept between calls; ``cache``
-    keeps T(g) only, so it grows by one entry per graph asked for, not by
-    its hundreds of minors.  Term keys come from one shared table of (i, j)
-    tuples (a table of this call's own above rank or corank 31): on the 4x5
-    grid, horizontal edges first (151,755 memo entries), the call peaked at
-    207 MB RSS, about 1.2 kB per entry, against 287 MB and 1.8 kB with a
-    tuple per term (Python 3.11, an interpreter of 30 MB taken off).
+    A minor is ``(n, classes)``: n vertices and the sorted classes (u, v, k),
+    u < v, each of k parallel edges.  The input's loops give y^loops once; no
+    step makes another loop.  Each minor is peeled first: one lowlink pass
+    finds its bridge classes and one renumbering contracts them all, each a
+    factor x + y + ... + y^(k-1).  Its last class, the highest vertex pair, is
+    then branched on: T(G) = T(G - class) + (1 + y + ... + y^(k-1)) T(G /
+    class), where the contraction merges the classes (a, u) and (a, v).  So
+    the highest vertex is eliminated first, and on a row-major grid the memo
+    works like a transfer matrix: 594 minors on the 4x5 grid.
+
+    A minor's T is one int holding c x^i y^j at bit s (i (c_E + 1) + j), with
+    s = |E| + 1 and (r, c_E) the input's rank and corank.  Every coefficient
+    is nonnegative and at most T(1, 1) <= 2^|E|, so no slot overflows: a sum
+    is one addition, and an entry is at most (r + 1)(c_E + 1)(|E| + 1) bits,
+    so BUDGET["minors"] bounds the memo's bytes too.  The memo lives for this
+    call; ``cache`` keeps T(g) only.  Satisfies T(x, y) = (x-1)^(|V|-1)
+    W(1/(x-1), y-1) on connected graphs.  Terms come in ascending (i, j),
+    keyed from one shared table of (i, j) tuples (a table of this call's own
+    above rank or corank 31).
     """
     if cache is None:
         cache = TutteCache()
     key = canonical_key(g)
     result = cache._table.get(key)
-    if result is None:
-        r, c = rank_corank(g, g.full_subset())  # every minor's exponents are at most these
-        keys = _TERM_KEYS if max(r, c) < len(_TERM_KEYS) else [[(i, j) for j in range(c + 1)] for i in range(r + 1)]
-        result = cache._table[key] = BivariatePolynomial(_tutte_rec(g.n, g.edges, {}, cache, keys))
-    else:
-        cache.hits += 1
-    return result
-
-
-def _peel(n: int, edges, loops: bool = True, bridges: bool = True) -> tuple[int, list, int, int]:
-    """``(n, rest, x, y)``: the minor on ``n`` vertices with ``edges``, its
-    ``y`` loops dropped if ``loops``, then the ``x`` bridges of the loopless
-    rest contracted if ``bridges``, highest index first so the lower indices
-    stay put.  In a loopless graph contracting a bridge makes no loop and
-    leaves every other edge's bridge status alone, so one pass finds them all.
-    """
-    rest = [e for e in edges if e[0] != e[1]] if loops else edges
-    y = len(edges) - len(rest)
-    found = _bridges(n, rest) if bridges else ()
-    for i in reversed(found):
-        n, rest = _contract_edges(n, rest, i)
-    return n, rest, len(found), y
-
-
-# The peels a child of a peeled minor (no loops, no bridges) can need.  The
-# deletion child G - e can gain bridges but has no loop.  The contraction
-# child G / e gains a loop per parallel copy of e but no bridge: for any
-# other edge f, k((G / e) - f) = k((G - f) / e) = k(G - f) = k(G).
-_DELETION, _CONTRACTION = (False, True), (True, False)
-
-
-def _tutte_rec(n: int, edges, memo: dict, counts: TutteCache, keys, peel=(True, True)) -> dict:
-    """The terms of T(x, y) of the minor on ``n`` vertices with the
-    normalised ``edges``, as a dict in the insertion order of
-    ``BivariatePolynomial`` arithmetic, keyed by ``keys[i][j]``.  ``peel``
-    says whether to drop loops and whether to contract bridges before
-    branching.  Every coefficient is positive, so no sum cancels."""
-    key = _edges_key(n, edges)
-    result = memo.get(key)
     if result is not None:
-        counts.hits += 1
+        cache.hits += 1
         return result
-    counts.misses += 1
+    r, c = rank_corank(g, g.full_subset())  # every minor's exponents are at most these
+    keys = _TERM_KEYS if max(r, c) < len(_TERM_KEYS) else [[(i, j) for j in range(c + 1)] for i in range(r + 1)]
+    s, memo = g.m + 1, {}  # bits per coefficient
+    x, geo = 1 << s * (c + 1), [((1 << s * k) - 1) // ((1 << s) - 1) for k in range(s)]  # x; 1 + y + ... + y^(k-1)
 
-    n, work, x, y = _peel(n, edges, *peel)
-    if not work:
-        result = {keys[x][y]: 1}
-    else:
-        result = dict(_tutte_rec(n, work[1:], memo, counts, keys, _DELETION))  # T(delete) + T(contract)
-        for k, c in _tutte_rec(*_contract_edges(n, work, 0), memo, counts, keys, _CONTRACTION).items():
-            result[k] = result.get(k, 0) + c
-        if x or y:
-            result = {keys[i + x][j + y]: c for (i, j), c in result.items()}
+    def minor(n, classes):
+        memo_key = (n, classes)
+        value = memo.get(memo_key)
+        if value is not None:
+            cache.hits += 1
+            return value
+        cache.misses += 1
+        value, label, bridges = 1, range(n), _bridges(n, [e[:2] for e in classes])
+        for i in bridges:  # contracted by renumbering: a merged vertex takes its lowest one's place
+            u, v, k = classes[i]
+            value *= x + geo[k] - 1  # x + y + ... + y^(k-1)
+            u, v = sorted((label[u], label[v]))
+            label = [a if a < v else u if a == v else a - 1 for a in label]
+        if bridges:
+            n, classes = n - len(bridges), _merged(label, classes)
+        if classes:
+            u, v, k = classes[-1]
+            value *= minor(n, classes[:-1]) + geo[k] * minor(n - 1, _merged([*range(v), u, *range(v, n - 1)], classes))
+        check_budget("minors", len(memo) + 1)
+        memo[memo_key] = value
+        return value
 
-    check_budget("minors", len(memo) + 1)
-    memo[key] = result
+    classes = tuple((u, v, len(list(copies))) for (u, v), copies in groupby(sorted(g.edges)) if u != v)
+    packed = minor(g.n, classes) << s * sum(u == v for u, v in g.edges)  # times y^loops
+    terms, mask = {}, (1 << s) - 1
+    for row in keys[:r + 1]:
+        for term in row[:c + 1]:
+            if packed & mask:
+                terms[term] = packed & mask
+            packed >>= s
+    result = cache._table[key] = BivariatePolynomial(terms)
     return result
+
+
+def _merged(label, classes) -> tuple:
+    """The sorted ``classes`` with each vertex a renamed ``label[a]``: those
+    that become loops, the contracted ones, are dropped and those that
+    become parallel merged."""
+    out = {}
+    for a, b, k in classes:
+        a, b = label[a], label[b]
+        if a != b:
+            pair = (a, b) if a < b else (b, a)
+            out[pair] = out.get(pair, 0) + k
+    return tuple(sorted((a, b, k) for (a, b), k in out.items()))
 
 
 def tutte_from_rank_gen(g: Multigraph) -> BivariatePolynomial:

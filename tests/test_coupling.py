@@ -353,6 +353,13 @@ class TestSampler:
             estimate_two_point(triangle(), samples, 0, 3, 2)
         assert len(list(samples)) == 10
 
+    def test_two_point_bad_q_leaves_stream_unread(self):
+        for q in (0, 2.5, 1):
+            samples = iter(sw_sample(triangle(), 0.5, 2, SamplerConfig(burn_in=0, samples=10)))
+            with pytest.raises(ValueError, match="q must be an integer >= 2"):
+                estimate_two_point(triangle(), samples, 0, 1, q)
+            assert len(list(samples)) == 10
+
     def test_two_point_empty_stream(self):
         for samples in ([], iter(())):
             with pytest.raises(ValueError, match="empty sample stream"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rcpotts import coupling, flows, graphs, measures
-from rcpotts.coupling import SamplerConfig, bonds_given_spins, make_rng, sw_sample
+from rcpotts.coupling import SamplerConfig, bonds_given_spins, estimate_two_point, make_rng, sw_sample
 from rcpotts.families import connected_multigraphs_upto, random_multigraph, simple_graphs
 from rcpotts.graphs import EnumerationCapExceeded, SUBSET_CROSSOVER, Multigraph, complete, cycle, spin_counts, triangle
 from rcpotts.measures import (
@@ -32,7 +32,7 @@ from rcpotts.measures import (
     zero_temperature_check,
 )
 from rcpotts.flows import compflow_identity, count_flows, flow_connection_mc, flow_correlation_mc
-from rcpotts.polynomials import multivariate_tutte
+from rcpotts.polynomials import multivariate_tutte, tutte_poly
 
 from .conftest import bfs_component_count, bfs_reachable, seeded_multigraph
 from .test_graphs import petersen
@@ -327,6 +327,20 @@ class TestIdentities:
             for p, q in PQ_GRID:
                 assert tutte_rc_identity(g, p, q)["pass"]
 
+    @pytest.mark.parametrize(("q", "dev"), [(F(3), "24"), (F(3, 2), "375/128")])
+    def test_tutte_rc_identity_fails_on_another_graphs_polynomial(self, q, dev, monkeypatch):
+        # a known-false control: the triangle checked against C4's T(x, y)
+        monkeypatch.setattr(measures, "tutte_poly", lambda g, cache=None: tutte_poly(cycle(4)))
+        rep = tutte_rc_identity(triangle(), F(1, 2), q)
+        assert rep["rc_deviation"] == dev and rep["pass"] is False
+
+    def test_tutte_rc_identity_fails_on_a_wrong_potts_sum(self, monkeypatch):
+        # a known-false control that only the Potts side sees
+        exact = measures.potts_partition_exact
+        monkeypatch.setattr(measures, "potts_partition_exact", lambda *args: exact(*args) + 1)
+        rep = tutte_rc_identity(triangle(), F(1, 2), F(3))
+        assert (rep["rc_deviation"], rep["potts_deviation"], rep["pass"]) == ("0", "1", False)
+
     def test_tutte_rc_rejects_disconnected(self):
         g = Multigraph(4, ((0, 1), (2, 3)))
         with pytest.raises(ValueError):
@@ -439,6 +453,10 @@ MODEL_INPUTS = {
     "flow_correlation_mc q": (lambda q: flow_correlation_mc(triangle(), 0.5, q, 0, 1, _CFG), _REAL_Q),
     "flow_connection_mc q": (lambda q: flow_connection_mc(triangle(), 0.5, q, 0, 1, _CFG), _REAL_Q),
     "RCParams p": (lambda p: RCParams(p, F(2)), _P),
+    "RCParams q": (lambda q: RCParams(F(1, 2), q), {"3": "q must be a real number", 0: "q must be positive"}),
+    "PottsParams beta": (lambda beta: PottsParams(beta=beta, q=2), {"1": "beta must be a real number",
+                                                                    math.inf: "beta must be finite"}),
+    "estimate_two_point q": (lambda q: estimate_two_point(triangle(), iter(_no_draws, None), 0, 1, q), _INTEGER_Q),
     "sw_sample p": (lambda p: next(sw_sample(triangle(), p, 2, _CFG)), _P),
     "bonds_given_spins p": (lambda p: bonds_given_spins(triangle(), (0, 0, 0), p, None), _P),
     "flow_connection_mc p": (lambda p: flow_connection_mc(triangle(), p, 2, 0, 1, _CFG), _P),

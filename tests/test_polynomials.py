@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -10,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcpotts import polynomials
 from rcpotts.coupling import make_rng
 from rcpotts.families import connected_multigraphs_upto, graphs_with_few_edges, random_multigraph
 from rcpotts.graphs import (
     EnumerationCapExceeded,
     Multigraph,
     _bridges,
-    _contract_edges,
-    _edges_key,
     complete,
     cycle,
     is_connected,
@@ -25,8 +25,6 @@ from rcpotts.graphs import (
     triangle,
 )
 from rcpotts.polynomials import (
-    _CONTRACTION,
-    _DELETION,
     BivariatePolynomial,
     TutteCache,
     chromatic_poly,
@@ -39,7 +37,6 @@ from rcpotts.polynomials import (
     rank_gen_poly,
     tutte_from_rank_gen,
     tutte_poly,
-    _peel,
 )
 from .conftest import RATIONAL_POINTS_20, agreement_oracle, brute_force_flow_count, seeded_multigraph
 
@@ -65,6 +62,17 @@ class TestRankGen:
         g = Multigraph(2, tuple([(0, 1)] * 25))  # 2^25 subsets
         with pytest.raises(EnumerationCapExceeded):
             rank_gen_poly(g)
+
+
+def grid(rows: int, cols: int, wrap: bool = False) -> Multigraph:
+    """The rows x cols grid, vertices row-major; with ``wrap`` the torus."""
+    edges = []
+    for r, c in product(range(rows), range(cols)):
+        if c + 1 < cols or wrap:
+            edges.append((r * cols + c, r * cols + (c + 1) % cols))
+        if r + 1 < rows or wrap:
+            edges.append((r * cols + c, (r + 1) % rows * cols + c))
+    return Multigraph(rows * cols, tuple(edges))
 
 
 class TestTutte:
@@ -96,6 +104,43 @@ class TestTutte:
                                            ("isolated", 0 in g.degrees()),
                                            ("disconnected", not is_connected(g))) if flag)
         assert seen == {"loop", "parallel", "isolated", "disconnected"}
+
+    def test_matches_rank_gen_route_with_heavy_classes(self):
+        # classes of up to 5 parallel edges, bridge classes of k >= 2 among
+        # them (the factor x + y + ... + y^(k-1)), and loops
+        rng, seen = random.Random(27), set()
+        for _ in range(150):
+            n = rng.randrange(3, 7)
+            drawn = rng.sample([(u, v) for u in range(n) for v in range(u, n)], rng.randrange(1, 6))
+            ks = [rng.choice((1, 1, 2, 3, 5)) for _ in drawn]
+            while sum(ks) > 13:
+                ks.pop()
+            edges = [pair for pair, k in zip(drawn, ks) for _ in range(k)]
+            rng.shuffle(edges)
+            g = Multigraph(n, tuple(edges))
+            assert tutte_poly(g) == tutte_from_rank_gen(g), g
+            classes = Counter(e for e in edges if e[0] != e[1])
+            pairs = list(classes)
+            bridge_ks = [classes[pairs[i]] for i in _bridges(n, pairs)]
+            seen.update(flag for flag, ok in (("k = 5", 5 in classes.values()),
+                                              ("bridge class of k >= 2", max(bridge_ks, default=0) >= 2),
+                                              ("loop", len(classes) < len(set(edges)))) if ok)
+        assert seen == {"k = 5", "bridge class of k >= 2", "loop"}
+
+    @pytest.mark.parametrize(("g", "trees"), [
+        (grid(4, 5), 4_140_081),
+        (grid(5, 5), 557_568_000),
+        (complete(8), 8**6),
+        (grid(4, 4, wrap=True), 42_467_328),
+    ], ids=["4x5 grid", "5x5 grid", "K8", "C4xC4"])
+    def test_exact_values_at_scale(self, g, trees):
+        # T(1, 1) is the spanning-tree count (Kirchhoff), T(2, 2) = 2^|E|
+        start = time.perf_counter()
+        t = tutte_poly(g)
+        took = time.perf_counter() - start
+        assert eval_poly(t, 1, 1) == trees and eval_poly(t, 2, 2) == 2**g.m
+        if g.m == 31:  # the 4x5 grid: 14-40 ms on one core
+            assert took < 1
 
     def test_w_transform_identity_at_rational_points(self):
         cache = TutteCache()
@@ -140,43 +185,52 @@ class TestTutte:
         family = [g for g in connected_multigraphs_upto(5, 6) for _ in range(2)]
         terms, order, _ = digests(family, cache)
         assert terms == "59788b5b9b7ce8e4a42b49c504e5ef649dcaf302edc300b423edeadacd701389"
-        assert order == "c48a10d229b2c18a6cd2fc5093dcabd2ec6eb234076aaf2e99b558c00554d2e8"
-        assert (cache.hits, cache.misses) == (722, 1742)
+        assert order == "cdc046ec5d83f8526dac7ca7c15eb559c33a7cd6ef4bdb5962c7fdc4073a7ad5"
+        assert (cache.hits, cache.misses) == (414, 724)
         cache = TutteCache()
         large = [random_multigraph(7, m, make_rng(seed), loops=False) for seed, m in enumerate((13, 14, 15, 16))]
         terms, order, values = digests(large, cache)
         assert terms == "e7ca79c3e2f2f32bb71cc6cca8b5b46a3a083d0ed6d047f6825a8cf477f3b8df"
-        assert order == "995ae095d43135e6d71e18cb79230677494e34764c063ebbc6e3f5c21f0e681c"
+        assert order == "c8186cd978637c784f874677a460ef3be3fa8ed14b7ffcfe1988b9ae4ace926c"
         assert list(map(repr, values)) == ["10821.6796875", "28739.2578125", "75774.853515625", "194917.2802734375"]
-        assert (cache.hits, cache.misses) == (742, 826)
+        assert (cache.hits, cache.misses) == (136, 210)
 
-    def test_children_of_a_peeled_minor_need_one_peel(self):
+    def test_class_recursion_walk(self, monkeypatch):
         # every minor of the recursion, on seeded multigraphs with loops and
-        # parallel edges: a peeled minor has no loop and no bridge, its
-        # deletion child no loop and its contraction child no bridge, so each
-        # child's one-sided peel is its full peel
-        def walk(n, edges, peel, seen):
-            if (_edges_key(n, edges), peel) in seen:
-                return
-            seen[_edges_key(n, edges), peel] += 1
-            assert _peel(n, edges, *peel) == _peel(n, edges)
-            n, work, _, _ = _peel(n, edges)
-            assert all(u != v for u, v in work) and _bridges(n, work) == []
-            if work:
-                deleted, contracted = (n, work[1:]), _contract_edges(n, work, 0)
-                assert all(u != v for u, v in deleted[1]) and _bridges(*contracted) == []
-                found["deletion children with bridges"] += bool(_bridges(*deleted))
-                found["contraction children with loops"] += any(u == v for u, v in contracted[1])
-                walk(*deleted, _DELETION, seen)
-                walk(*contracted, _CONTRACTION, seen)
+        # parallel edges, seen through its one bridge search and through the
+        # minors that peels and branch contractions build: each has sorted,
+        # merged classes and no loop, and a peeled one has no bridge class
+        def classes_ok(n, pairs):
+            return pairs == sorted(set(pairs)) and all(u < v < n for u, v in pairs)
 
+        def bridges(n, pairs):
+            assert classes_ok(n, pairs)
+            found["minors"] += 1
+            return _bridges(n, pairs)
+
+        def merged(label, classes):
+            out = real_merged(label, classes)
+            n, pairs = max(label, default=-1) + 1, [e[:2] for e in out]
+            cut = {i for i, (u, v, _) in enumerate(classes) if label[u] == label[v]}
+            peel = cut <= set(_bridges(len(label), [e[:2] for e in classes]))  # a branch cuts no bridge
+            assert classes_ok(n, pairs) and not (peel and _bridges(n, pairs))
+            found["bridge classes with k >= 2"] += peel and any(classes[i][2] >= 2 for i in cut)
+            found["classes merged"] += len(out) < len(classes) - len(cut)
+            return out
+
+        real_merged = polynomials._merged
+        monkeypatch.setattr(polynomials, "_bridges", bridges)
+        monkeypatch.setattr(polynomials, "_merged", merged)
         rng, found = random.Random(22), Counter()
         for _ in range(300):
-            g = seeded_multigraph(rng, loops=True)
+            g, cache = seeded_multigraph(rng, loops=True), TutteCache()
             found["loops"] += any(u == v for u, v in g.edges)
             found["parallel"] += len(set(g.edges)) < g.m
-            walk(g.n, g.edges, (True, True), Counter())
-        assert len(found) == 4 and all(found.values()), found
+            minors = found["minors"]
+            tutte_poly(g, cache)
+            assert found["minors"] - minors == cache.misses  # one peel per minor
+        counters = ("loops", "parallel", "bridge classes with k >= 2", "classes merged")
+        assert all(found[k] for k in counters), found
 
     def test_term_keys_shared(self):
         # equal term keys of different graphs' polynomials are one tuple

@@ -45,14 +45,12 @@ MUTANTS = [
      "reached = tvs[-1] < final_tv", "reached = tvs[-1] < 10 * final_tv"),
     ("Simon's inequality against twice its right side", "flows.py",
      "rhs = sum(phi[x, y] * phi[y, z] for y in w)", "rhs = 2 * sum(phi[x, y] * phi[y, z] for y in w)"),
-    ("bridge pass skipped in deletion children too", "polynomials.py",
-     "_DELETION, _CONTRACTION = (False, True), (True, False)",
-     "_DELETION, _CONTRACTION = (False, False), (True, False)"),
+    ("bridge class's factor without its x term", "polynomials.py",
+     "value *= x + geo[k] - 1", "value *= geo[k] - 1"),
     ("argsort dropped from the first-met key order", "graphs.py",
      "order += slots[np.argsort(first)].tolist()", "order += slots.tolist()"),
-    ("contraction child's loop drop removed", "polynomials.py",
-     "_DELETION, _CONTRACTION = (False, True), (True, False)",
-     "_DELETION, _CONTRACTION = (False, True), (False, False)"),
+    ("class branched as a single edge", "polynomials.py",
+     "geo[k] * minor(n - 1,", "minor(n - 1,"),
     ("redrawn 32-bit halves accepted by the spin-draw table", "coupling.py",
      "np.flatnonzero(prods.astype(np.uint32) < _U32 % q).tolist())", "[])"),
     ("kept half dropped at a refill", "coupling.py",
@@ -76,6 +74,10 @@ MUTANTS = [
      "if not 0 < p < 1:", "if not 0 < p <= 1:"),
     ("real-q reader accepting q = 0", "measures.py",
      "if not q > 0:", "if not q >= 0:"),
+    ("Tutte/random-cluster identity always passing", "measures.py",
+     '"pass": dev_rc == 0,', '"pass": True,'),
+    ("Tutte/Potts side of that identity ignored", "measures.py",
+     'report["pass"] = report["pass"] and dev_p == 0', 'report["pass"] = report["pass"]'),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
