@@ -4,10 +4,11 @@ limit measures (uniform spanning tree / forest / connected subgraph).
 
 Events over the bond space {0,1}^E are encoded as bitmasks over the 2^|E|
 configurations (configuration ``a`` is in event ``A`` iff bit ``a`` of the
-event mask is set).  A measure is read as integer weights over the least
-common denominator d of its probabilities, and P(A and B) <= P(A) P(B) is
-tested in integers as d W(A and B) <= W(A) W(B), so every check is exact
-and a reported violation is a genuine witness, never float noise.
+event mask is set).  A measure is read as the integer weights its table
+keeps over the least common denominator d of its probabilities, and
+P(A and B) <= P(A) P(B) is tested in integers as d W(A and B) <= W(A) W(B),
+so every check is exact and a reported violation is a genuine witness,
+never float noise.
 
 Every event-pair question is answered in numpy blocks of at most
 ``_PAIR_BLOCK`` pairs, scanned in a fixed pair order, so the first witness
@@ -18,10 +19,11 @@ masses then stays below 2^62) and Python ints in an object array beyond.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -69,16 +71,14 @@ def _upsets(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weights(table: MeasureTable) -> tuple[np.ndarray, int]:
-    """The measure as integer weights w over a common denominator d: the
+    """The table's own integer weights w over its denominator d: the
     probability of configuration a is w[a] / d.  ``int64`` while d < 2^31,
     so that d times a mass never overflows; Python ints beyond."""
     if table.space[0] != "bond":
         raise ValueError("expected a bond-space measure")
-    d = lcm(*(x.denominator for x in table.probs.values()))
-    w = np.zeros(1 << table.space[1], dtype=np.int64 if d.bit_length() <= 31 else object)
-    for a, x in table.probs.items():
-        w[a] = x.numerator * d // x.denominator
-    return w, d
+    w = np.zeros(1 << table.space[1], dtype=np.int64 if table.d.bit_length() <= 31 else object)
+    w[list(table.probs)] = table.weights
+    return w, table.d
 
 
 def _mass_tables(w: np.ndarray) -> np.ndarray:
@@ -95,15 +95,17 @@ def _masses(tables: np.ndarray, events: np.ndarray) -> np.ndarray:
 
 def _triangle_blocks(n: int):
     """The index pairs i <= j < n in row-major order, as arrays of at most
-    ``_PAIR_BLOCK`` pairs; a flat pair index finds its row among the row
-    offsets i n - i (i - 1) / 2."""
-    rows = np.arange(n)
-    offsets = rows * (2 * n - rows + 1) // 2
-    total = n * (n + 1) // 2
-    for start in range(0, total, _PAIR_BLOCK):
-        flat = np.arange(start, min(start + _PAIR_BLOCK, total))
-        i = np.searchsorted(offsets, flat, side="right") - 1
-        yield i, i + flat - offsets[i]
+    ``_PAIR_BLOCK`` pairs.  Row i holds the flat indices from its offset
+    i n - i (i - 1) / 2 on, so a block repeats each row it meets by the
+    count of its flat indices in that row."""
+    rows = np.arange(n + 1)
+    offsets = rows * (2 * n - rows + 1) // 2  # offsets[n]: the pair count
+    starts = offsets.tolist()
+    for start in range(0, starts[-1], _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, starts[-1])
+        r0, r1 = bisect_right(starts, start) - 1, bisect_left(starts, stop)  # the rows met
+        i = np.repeat(rows[r0:r1], np.minimum(offsets[r0 + 1 : r1 + 1], stop) - np.maximum(offsets[r0:r1], start))
+        yield i, i + np.arange(start, stop) - offsets[i]
 
 
 def _first(bad: np.ndarray):
@@ -179,22 +181,23 @@ def fkg_check(g: Multigraph, p, q, n_function_pairs: int = 100, seed: int = 0) -
     # d E fh - E f E h sums c c' (d W(A and B) - W(A) W(B)) over positive
     # c c', so no function fails once every up-set pair passes: they are
     # drawn only after a violation.
-    ups = events.tolist()
-    weight = dict(zip(ups, masses.tolist()))  # closed under A and B
-    rng = make_rng(seed)
     func_viol = 0
-    for _ in range(n_function_pairs if violations else 0):
-        f = _random_increasing_function(ups, rng)
-        h = _random_increasing_function(ups, rng)
-        e_f = sum(c * weight[a] for a, c in f)
-        e_h = sum(c * weight[b] for b, c in h)
-        e_fh = sum(c * k * weight[a & b] for a, c in f for b, k in h)
-        if d * e_fh < e_f * e_h:
-            func_viol += 1
+    if violations:
+        ups = events.tolist()
+        weight = dict(zip(ups, masses.tolist()))  # closed under A and B
+        rng = make_rng(seed)
+        for _ in range(n_function_pairs):
+            f = _random_increasing_function(ups, rng)
+            h = _random_increasing_function(ups, rng)
+            e_f = sum(c * weight[a] for a, c in f)
+            e_h = sum(c * weight[b] for b, c in h)
+            e_fh = sum(c * k * weight[a & b] for a, c in f for b, k in h)
+            if d * e_fh < e_f * e_h:
+                func_viol += 1
     return {
         "identity": "fkg",
         "params": [str(p), str(q)],
-        "instances": len(ups) * (len(ups) + 1) // 2 + n_function_pairs,
+        "instances": len(events) * (len(events) + 1) // 2 + n_function_pairs,
         "event_violations": violations[:10],
         "function_violations": func_viol,
         "pass": not violations,
@@ -431,8 +434,6 @@ def regime_schedule(regime: str, q_values=None) -> list[tuple[Fraction, Fraction
 
 
 def _exact_sqrt(q: Fraction) -> Fraction:
-    from math import isqrt
-
     num, den = isqrt(q.numerator), isqrt(q.denominator)
     if Fraction(num, den) ** 2 != q:
         raise ValueError(f"sqrt({q}) is not rational; pick q = 10^-2k for ust")
@@ -497,12 +498,14 @@ def ust_feder_mihail_check(g: Multigraph) -> dict:
 
 
 def negative_association_checks_edge_only(table: MeasureTable) -> dict:
-    m = table.space[1]
-    w, d = _weights(table)
-    support = [(a, x) for a, x in enumerate(w.tolist()) if x]
+    """The first edge pair (e, f) with d W(e and f open) > W(e open) W(f
+    open), in the integer weights W over d that the table keeps."""
+    if table.space[0] != "bond":
+        raise ValueError("expected a bond-space measure")
+    support = [(a, x) for a, x in zip(table.probs, table.weights) if x]
     weight = lambda edges: sum(x for a, x in support if a & edges == edges)
-    for e, f in combinations(range(m), 2):
-        if d * weight(1 << e | 1 << f) > weight(1 << e) * weight(1 << f):
+    for e, f in combinations(range(table.space[1]), 2):
+        if table.d * weight(1 << e | 1 << f) > weight(1 << e) * weight(1 << f):
             return {"edge_na": False, "witness": (e, f)}
     return {"edge_na": True, "witness": None}
 

@@ -10,14 +10,15 @@ tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from numbers import Integral, Real
 
 from .graphs import (Multigraph, _exponent, check_budget, edge_subsets, is_connected, spin_configs, spin_counts,
                      subset_counts, subset_size_components)
-from .polynomials import TutteCache, eval_poly, eval_terms, tutte_poly
+from .polynomials import TutteCache, chromatic_poly, eval_poly, eval_terms, term_weights, tutte_poly
 
 
 # ---------------------------------------------------------------------------
@@ -86,56 +87,80 @@ class PottsParams:
             raise ValueError("couplings must be nonzero")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasureTable:
     """Explicit probability table over a finite configuration space.
 
     ``space`` records what configurations mean: ("bond", m) for bitmasks over
-    m edges, ("joint", n, q, m) for (spin-tuple, bitmask) pairs.
-    Probabilities are exact Fractions.
+    m edges, each checked to lie below 2^m, ("joint", n, q, m) for
+    (spin-tuple, bitmask) pairs.
+    Probabilities are exact, ints or Fractions, and are validated and kept
+    in integers: ``weights`` holds each, in ``probs``' order, over ``d``,
+    their least common denominator.
     """
 
     space: tuple
     probs: dict
+    weights: tuple = field(init=False, repr=False, compare=False)
+    d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        total = sum(self.probs.values())
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p < 0 for p in self.probs.values()):
+        if self.space[0] == "bond" and not all(0 <= a < 1 << self.space[1] for a in self.probs):
+            raise ValueError(f"a configuration lies outside the bond space of {self.space[1]} edges")
+        try:
+            d = math.lcm(*(x.denominator for x in self.probs.values()))
+        except AttributeError:
+            raise ValueError("probabilities must be exact: ints or Fractions") from None
+        weights = tuple(x.numerator * (d // x.denominator) for x in self.probs.values())
+        if sum(weights) != d:
+            raise ValueError(f"probabilities sum to {Fraction(sum(weights), d)}, not 1")
+        if any(w < 0 for w in weights):
             raise ValueError("negative probability")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "d", d)
 
     def prob(self, event) -> Fraction:
         """Probability of the configurations for which the predicate ``event`` holds."""
-        return sum((p for cfg, p in self.probs.items() if event(cfg)), Fraction(0))
-
-
-def _rc_sum(g: Multigraph, params: RCParams, counts) -> Fraction:
-    """Total random-cluster weight p^|A| (1-p)^(|E|-|A|) q^k(A) of the edge
-    subsets A counted per key (|A|, k(A)) in ``counts``."""
-    return eval_terms({(a, g.m - a, k): c for (a, k), c in counts.items()}, params.p, 1 - params.p, params.q)
+        return Fraction(sum(w for cfg, w in zip(self.probs, self.weights) if event(cfg)), self.d)
 
 
 def rc_partition(g: Multigraph, params: RCParams) -> Fraction:
     """Random-cluster partition function by subset enumeration, exact."""
-    return _rc_sum(g, params, subset_size_components(g))
+    counts = subset_size_components(g)
+    return eval_terms({(a, g.m - a, k): c for (a, k), c in counts.items()}, params.p, 1 - params.p, params.q)
+
+
+def _rc_weights(g: Multigraph, params: RCParams, counts) -> dict:
+    """Each key (|A|, k(A)) of ``counts`` to its weight p^|A| (1-p)^(|E|-|A|) q^k(A), in integers."""
+    weights, _ = term_weights({(a, g.m - a, k): 1 for a, k in counts}, params.p, 1 - params.p, params.q)
+    return dict(zip(counts, weights))
+
+
+def _shares(counts, hits, weight) -> dict:
+    """Each tally of ``hits`` as one Fraction of the total over ``counts``,
+    summed in the integer weights ``weight`` gives each key."""
+    weigh = lambda tally: sum(c * weight[key] for key, c in tally.items())
+    z = weigh(counts)
+    return {pair: Fraction(weigh(hit), z) for pair, hit in hits.items()}
 
 
 def rc_measure_table(g: Multigraph, params: RCParams) -> MeasureTable:
+    """phi_{p,q} over the bond space, subsets ascending, from one pass of
+    ``edge_subsets`` that keeps each subset's key (|A|, k(A)): each key is
+    weighed once, and each probability is its weight over their sum."""
     check_budget("table", 1 << g.m)
-    counts = subset_size_components(g)
-    z = _rc_sum(g, params, counts)
-    prob = {key: _rc_sum(g, params, {key: 1}) / z for key in counts}
-    return MeasureTable(
-        ("bond", g.m), {a: prob[a.bit_count(), k] for a, k, _ in edge_subsets(g)}
-    )
+    keys = [(a.bit_count(), k) for a, k, _ in edge_subsets(g)]
+    counts = Counter(keys)  # first-met key order, as subset_counts lists it
+    weight = _rc_weights(g, params, counts)
+    z = sum(c * weight[key] for key, c in counts.items())
+    prob = {key: Fraction(w, z) for key, w in weight.items()}
+    return MeasureTable(("bond", g.m), dict(enumerate(map(prob.__getitem__, keys))))
 
 
 def _connection_probs(g: Multigraph, params: RCParams, pairs) -> dict:
     """phi_{p,q}(x <-> y) for each vertex pair in ``pairs``, in one subset pass."""
     counts, hits = subset_counts(g, pairs)
-    z = _rc_sum(g, params, counts)
-    return {pair: _rc_sum(g, params, hit) / z for pair, hit in hits.items()}
+    return _shares(counts, hits, _rc_weights(g, params, counts))
 
 
 def rc_connection_prob(g: Multigraph, params: RCParams, x: int, y: int) -> Fraction:
@@ -150,13 +175,9 @@ def rc_connection_prob(g: Multigraph, params: RCParams, x: int, y: int) -> Fract
 # Potts side.  A configuration's coupling exponent sums J_e over its agreeing
 # edges; the exact route takes w = e^beta as a Fraction, weight w^exponent.
 
-def _weigh(counts, w: Fraction) -> Fraction:
-    return eval_terms({(j,): c for j, c in counts.items()}, w)
-
-
 def potts_partition_exact(g: Multigraph, q: int, w: Fraction, couplings=None) -> Fraction:
     """Z_P with e^beta = w exact; integer couplings only (default all +1)."""
-    return _weigh(spin_counts(g, q, couplings)[0], Fraction(w))
+    return eval_terms({(j,): c for j, c in spin_counts(g, q, couplings)[0].items()}, Fraction(w))
 
 
 def _float_sums(terms, width: int):
@@ -212,9 +233,8 @@ def potts_two_point(g: Multigraph, params: PottsParams, x: int, y: int) -> float
 def _potts_two_points_exact(g: Multigraph, q: int, w: Fraction, pairs) -> dict:
     """tau(x,y) for each vertex pair in ``pairs``, in one spin pass."""
     counts, hits = spin_counts(g, q, pairs=pairs)
-    w = Fraction(w)
-    z = _weigh(counts, w)
-    return {pair: _weigh(hit, w) / z - Fraction(1, q) for pair, hit in hits.items()}
+    weight = dict(zip(counts, term_weights({(j,): 1 for j in counts}, Fraction(w))[0]))
+    return {pair: share - Fraction(1, q) for pair, share in _shares(counts, hits, weight).items()}
 
 
 def potts_two_point_exact(g: Multigraph, q: int, w: Fraction, x: int, y: int) -> Fraction:
@@ -324,8 +344,6 @@ def zero_temperature_check(g: Multigraph, q: int, beta_schedule) -> dict:
     """Purely antiferromagnetic (J = -1 everywhere) zero-temperature limit:
     Z_P(beta, q) should approach the chromatic value chi(q) monotonically as
     beta grows, to within 1e-6 (relative and absolute) at the last beta."""
-    from .polynomials import chromatic_poly
-
     params = PottsParams(beta=0.0, q=q, couplings=tuple([-1] * g.m))  # beta is set per sum below
     chi = float(eval_poly(chromatic_poly(g), Fraction(params.q), Fraction(0)))
     counts = spin_counts(g, params.q, params.couplings)[0]  # one enumeration for every beta

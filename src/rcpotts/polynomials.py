@@ -125,17 +125,11 @@ class BivariatePolynomial:
         return cls({(t["i"], t["j"]): int(t["c"]) for t in d["terms"]})
 
 
-def eval_terms(terms, *xs):
-    """Sum of c * x1**e1 * x2**e2 * ... over ``terms``, a map from exponent
-    tuples to integer coefficients: the one evaluation kernel.
-
-    Ints and Fractions x = a/b take one table of a^(e-lo) * b^(hi-e) per
-    variable (lo <= 0 <= hi), one integer sum over the common denominator and
-    one Fraction at the end: an int if every x is an int and no exponent is
-    negative.  Other inputs (floats) multiply left to right, term by term.
-    """
-    if not all(isinstance(x, (int, Fraction)) for x in xs):
-        return sum(reduce(lambda t, xe: t * xe[0] ** xe[1], zip(xs, es), c) for es, c in terms.items())
+def term_weights(terms, *xs) -> tuple[list, int | None]:
+    """``(weights, den)``: each term of ``eval_terms`` at ints and Fractions
+    x = a/b as one integer, in ``terms``' order, over one denominator den,
+    from one table of a^(e-lo) * b^(hi-e) per variable (lo <= 0 <= hi);
+    den is None when every x is an int and no exponent is negative."""
     tables, den, whole = [], 1, True
     for x, column in zip(xs, zip(*terms)):  # column: x's exponent in every term
         exps = {0, *column}
@@ -143,8 +137,21 @@ def eval_terms(terms, *xs):
         tables.append({e: a ** (e - lo) * b ** (hi - e) for e in exps})
         den *= a**-lo * b**hi
         whole = whole and lo == 0 and not isinstance(x, Fraction)
-    total = sum(c * prod(map(getitem, tables, es)) for es, c in terms.items())
-    return total if whole or not terms else Fraction(total, den)
+    return [c * prod(map(getitem, tables, es)) for es, c in terms.items()], None if whole else den
+
+
+def eval_terms(terms, *xs):
+    """Sum of c * x1**e1 * x2**e2 * ... over ``terms``, a map from exponent
+    tuples to integer coefficients: the one evaluation kernel.
+
+    Ints and Fractions sum ``term_weights`` and make one Fraction at the
+    end: an int if every x is an int and no exponent is negative.  Other
+    inputs (floats) multiply left to right, term by term.
+    """
+    if not all(isinstance(x, (int, Fraction)) for x in xs):
+        return sum(reduce(lambda t, xe: t * xe[0] ** xe[1], zip(xs, es), c) for es, c in terms.items())
+    weights, den = term_weights(terms, *xs)
+    return sum(weights) if den is None else Fraction(sum(weights), den)
 
 
 def eval_poly(p: BivariatePolynomial, x, y):

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rcpotts import association
@@ -139,6 +140,16 @@ class TestFkg:
         assert rep["pass"] == (not rep["event_violations"])
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 64, 168, 256, 2048])
+def test_triangle_blocks_are_the_row_major_pairs(n):
+    # at n = 2048 the first block ends exactly where row 0 does
+    blocks = list(association._triangle_blocks(n))
+    assert all(0 < len(i) == len(j) <= association._PAIR_BLOCK for i, j in blocks)
+    i, j = (np.concatenate([b[k] for b in blocks] or [np.zeros(0, int)]) for k in (0, 1))
+    want_i, want_j = np.triu_indices(n)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
 class TestBoxProduct:
     def test_subset_of_intersection(self):
         m = 3
@@ -247,6 +258,24 @@ class TestNegativeAssociation:
             == negative_association_checks(mu, include_doc=False)["edge_na"]
         )
 
+    def test_chain_fails_when_edge_na_breaks(self, monkeypatch):
+        # a known-false control: on the triangle at (1/2, 1/2) NA holds, so
+        # an edge-NA verdict forced False breaks NA => edge NA
+        mu = rc_measure_table(triangle(), RCParams(F(1, 2), F(1, 2)))
+        assert negative_association_checks(mu)["pass"]
+        monkeypatch.setattr(association, "negative_association_checks_edge_only",
+                            lambda table: {"edge_na": False, "witness": (0, 1)})
+        report = negative_association_checks(mu)
+        assert report["na"] and not report["edge_na"]
+        assert report["implication_chain_ok"] is False and report["pass"] is False
+
+    def test_weights_built_once(self, monkeypatch):
+        calls = []
+        weights = association._weights
+        monkeypatch.setattr(association, "_weights", lambda table: calls.append(table) or weights(table))
+        negative_association_checks(rc_measure_table(triangle(), RCParams(F(1, 2), F(2))))
+        assert len(calls) == 1
+
 
 # (graph, p, q, DOC seed) at m <= 4, with the bit length of d.  The 4-edge
 # seeds put a DOC witness among the first dozen seeded pairs, where the
@@ -311,6 +340,15 @@ class TestNegativeAssociationOracles:
     @pytest.mark.parametrize("table", INT64_BOUNDARY_CASES)
     def test_int64_boundary_matches_oracles(self, table):
         assert negative_association_checks(table) == _report_from_oracles(table, 0, 0)
+
+    @pytest.mark.parametrize(("table", "dtype"), zip(INT64_BOUNDARY_CASES, (np.int64, object)))
+    def test_weights_are_the_tables_own(self, table, dtype):
+        # int64 below d = 2^31 and Python ints from it on, each w[a] / d the
+        # probability of configuration a
+        w, d = association._weights(table)
+        assert w.dtype == dtype and d == table.d
+        assert [F(x, d) for x in w.tolist()] == list(table.probs.values())
+        assert all(type(x) is int for x in w.tolist())
 
     def test_negative_doc_budget_rejected(self):
         table = uniform_substructure_measure(cycle(4), "spanning-tree")
@@ -423,6 +461,15 @@ class TestFederMihail:
             "instances": 1,
             "pass": True,
         }
+
+    def test_fails_on_a_positively_associated_measure(self, monkeypatch):
+        # a known-false control: phi_{1/2, 2} on C4 in place of the uniform
+        # spanning tree; q > 1 makes its edges positively correlated
+        monkeypatch.setattr(association, "uniform_substructure_measure",
+                            lambda g, kind: rc_measure_table(g, RCParams(F(1, 2), F(2))))
+        report = ust_feder_mihail_check(cycle(4))
+        assert report["mode"] == "full-na" and not report["detail"]["edge_na"]
+        assert report["pass"] is False
 
     def test_larger_graph_edge_na(self):
         g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)))

@@ -251,6 +251,13 @@ class TestConvergence:
         assert rep["within_regime"]
         assert rep["theta"] > 0
 
+    def test_rising_gaps_fail(self):
+        # a known-false control: n runs downwards, so the gaps rise, though
+        # the last is below 0.2
+        rep = convergence_report(2, 1.0, [14, 12, 8, 4])
+        assert not rep["monotone"] and rep["rows"][-1]["gap"] < 0.2
+        assert rep["pass"] is False
+
     def test_q_below_one_flagged(self):
         rep = convergence_report(F(1, 2), 1.0, [3, 4])
         assert not rep["within_regime"]

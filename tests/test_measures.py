@@ -32,7 +32,7 @@ from rcpotts.measures import (
     zero_temperature_check,
 )
 from rcpotts.flows import compflow_identity, count_flows, flow_connection_mc, flow_correlation_mc
-from rcpotts.polynomials import multivariate_tutte, tutte_poly
+from rcpotts.polynomials import eval_terms, multivariate_tutte, tutte_poly
 
 from .conftest import bfs_component_count, bfs_reachable, seeded_multigraph
 from .test_graphs import petersen
@@ -89,8 +89,102 @@ class TestRCMeasure:
                 assert joint == p * p
 
     def test_negative_probability_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^negative probability$"):
             MeasureTable(("bond", 1), {0: F(3, 2), 1: F(-1, 2)})
+
+    @pytest.mark.parametrize(("probs", "total"), [({0: F(1, 2), 1: F(1)}, "3/2"), ({0: F(1, 3)}, "1/3"), ({}, "0")])
+    def test_sum_other_than_one_rejected(self, probs, total):
+        with pytest.raises(ValueError, match=f"^probabilities sum to {total}, not 1$"):
+            MeasureTable(("bond", 1), probs)
+
+    @pytest.mark.parametrize("config", [4, 7, -1])
+    def test_configuration_outside_the_bond_space_rejected(self, config):
+        with pytest.raises(ValueError, match="outside the bond space of 2 edges"):
+            MeasureTable(("bond", 2), {1: F(1, 2), config: F(1, 2)})
+
+    @pytest.mark.parametrize("probs", [{0: 0.5, 1: 0.5}, {0: F(1, 2), 1: 0.5}, {0: "1"}])
+    def test_inexact_probability_rejected(self, probs):
+        with pytest.raises(ValueError, match="exact"):
+            MeasureTable(("bond", 1), probs)
+
+    def test_kept_weights_are_the_lcm_route(self):
+        tables = [rc_measure_table(g, RCParams(p, q)) for g in (EDGE, triangle(), cycle(4)) for p, q in PQ_GRID]
+        tables += [coupling.joint_table(triangle(), F(1, 3), 2), MeasureTable(("bond", 1), {0: 1, 1: 0})]
+        for t in tables:
+            d = math.lcm(*(x.denominator for x in t.probs.values()))
+            assert t.d == d
+            assert t.weights == tuple(int(x * d) for x in t.probs.values())
+            assert t.prob(lambda cfg: True) == 1
+
+    def test_table_is_frozen(self):
+        t = rc_measure_table(EDGE, RCParams(F(1, 2), F(2)))
+        with pytest.raises(AttributeError):
+            t.probs = {0: F(1)}
+
+
+def _small_multigraph(rng: random.Random, m: int) -> Multigraph:
+    """1-5 vertices and m edges drawn from a few vertex pairs, loops included."""
+    n = rng.randrange(1, 6)
+    pool = rng.sample([(u, v) for u in range(n) for v in range(u, n)], min(rng.randrange(1, 4), n * (n + 1) // 2))
+    return Multigraph(n, tuple(rng.choice(pool) for _ in range(m)))
+
+
+class TestRCMeasureParity:
+    """The one-pass table against a per-subset Fraction sum with BFS
+    clusters, on multigraphs on both sides of SUBSET_CROSSOVER."""
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(1), F(3, 2), F(3)])
+    def test_matches_per_subset_weights(self, q):
+        rng = random.Random(f"rc-table-{q}")
+        for m in [*range(SUBSET_CROSSOVER + 2)] * 3:
+            g = _small_multigraph(rng, m)
+            p = F(rng.randrange(1, 10), 10)
+            weights = {a: p ** a.bit_count() * (1 - p) ** (m - a.bit_count()) * q ** bfs_component_count(g, a)
+                       for a in range(1 << m)}
+            z = sum(weights.values())
+            want = {a: w / z for a, w in weights.items()}
+            got = rc_measure_table(g, RCParams(p, q)).probs
+            assert list(got.items()) == list(want.items())
+
+
+def _per_pair_connection_probs(g, params, pairs):
+    """phi(x <-> y) per pair by one ``eval_terms`` call per tally."""
+    counts, hits = graphs.subset_counts(g, pairs)
+    weigh = lambda tally: eval_terms({(a, g.m - a, k): c for (a, k), c in tally.items()},
+                                     params.p, 1 - params.p, params.q)
+    return {pair: weigh(hit) / weigh(counts) for pair, hit in hits.items()}
+
+
+def _per_pair_two_points(g, q, w, pairs):
+    """tau(x, y) per pair by one ``eval_terms`` call per tally."""
+    counts, hits = spin_counts(g, q, pairs=pairs)
+    weigh = lambda tally: eval_terms({(j,): c for j, c in tally.items()}, F(w))
+    return {pair: weigh(hit) / weigh(counts) - F(1, q) for pair, hit in hits.items()}
+
+
+class TestPairTallyParity:
+    """The pair tallies weigh each key once; they must equal the per-pair
+    ``eval_terms`` route, value for value and in the same key order."""
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(1), F(3, 2), F(3)])
+    def test_connection_probs(self, q):
+        rng = random.Random(f"connection-{q}")
+        for m in [*range(SUBSET_CROSSOVER + 2)] * 2:
+            g = _small_multigraph(rng, m)
+            params = RCParams(F(rng.randrange(1, 10), 10), q)
+            pairs = [(x, y) for x in range(g.n) for y in range(g.n)]
+            got = _connection_probs(g, params, pairs)
+            assert list(got.items()) == list(_per_pair_connection_probs(g, params, pairs).items())
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_potts_two_points(self, q):
+        rng = random.Random(f"two-point-{q}")
+        for m in [*range(SUBSET_CROSSOVER + 2)] * 2:  # q^n on both sides of SPIN_CROSSOVER
+            g = _small_multigraph(rng, m)
+            w = rng.choice([1 / (1 - F(rng.randrange(1, 10), 10)), F(5, 2), F(2, 7)])
+            pairs = [(x, y) for x in range(g.n) for y in range(g.n)]
+            got = _potts_two_points_exact(g, q, w, pairs)
+            assert list(got.items()) == list(_per_pair_two_points(g, q, w, pairs).items())
 
 
 class TestConnectionProb:
