@@ -384,28 +384,21 @@ def delete(g: Multigraph, e: int) -> Multigraph:
 
 
 def contract(g: Multigraph, e: int) -> Multigraph:
-    """Contract the edge at position ``e``: ``Multigraph`` over the edge
-    tuples of ``_contract_edges``, which fixes the renumbering.  Contracting
-    a loop just deletes it; parallel copies of the contracted edge become
-    loops."""
-    if not 0 <= e < g.m:
-        raise IndexError(f"edge index {e} out of range")
-    return Multigraph(*_contract_edges(g.n, g.edges, e))
-
-
-def _contract_edges(n: int, edges, e: int) -> tuple[int, list]:
-    """``(n, edges)`` after contracting edge ``e`` of normalised pairs.
+    """Contract the edge at position ``e``.
 
     The smaller endpoint u absorbs the larger one v and vertices above v
     shift down, so the renumbering is deterministic; the other edges keep
-    their order and stay normalised (u <= v).  A loop is just deleted."""
-    u, v = edges[e]
-    rest = edges[:e] + edges[e + 1 :]
+    their order and ``Multigraph`` normalises their pairs.  Contracting a
+    loop just deletes it; parallel copies of the contracted edge become
+    loops."""
+    if not 0 <= e < g.m:
+        raise IndexError(f"edge index {e} out of range")
+    u, v = g.edges[e]
+    rest = g.edges[:e] + g.edges[e + 1 :]
     if u == v:
-        return n, rest
-    r = [*range(v), u, *range(v, n - 1)]
-    # only a pair ending at v can come out of order: (a, v) with u < a
-    return n - 1, [(r[a], r[b]) if b != v or a <= u else (u, r[a]) for a, b in rest]
+        return Multigraph(g.n, rest)
+    r = [*range(v), u, *range(v, g.n - 1)]
+    return Multigraph(g.n - 1, tuple((r[a], r[b]) for a, b in rest))
 
 
 def _bridges(n: int, edges) -> list[int]:
@@ -460,12 +453,7 @@ def canonical_key(g: Multigraph):
     deterministic so deletion-contraction memoization is sound.  The key is
     flat, so a memo entry keeps none of the minor's edge tuples alive.
     """
-    return _edges_key(g.n, g.edges)
-
-
-def _edges_key(n: int, edges) -> tuple:
-    """``canonical_key`` of the graph with ``n`` vertices and ``edges``."""
-    return (n, *chain.from_iterable(sorted(edges)))
+    return (g.n, *chain.from_iterable(sorted(g.edges)))
 
 
 def is_even(g: Multigraph) -> bool:

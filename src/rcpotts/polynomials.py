@@ -2,7 +2,10 @@
 polynomial via memoized deletion-contraction, chromatic and flow
 specializations, and the multivariate partition sum.
 
-All coefficients are exact big integers; evaluation takes exact rationals
+A polynomial is a map from exponent pairs to exact big-integer
+coefficients, with equality, sums and JSON but no ring arithmetic: the
+change of variables from W to T and from T to the chromatic polynomial is
+one binomial shift, ``_shift``.  Evaluation takes exact rationals
 (``fractions.Fraction``) or floats and returns the matching type.
 """
 
@@ -10,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import groupby
-from math import prod
+from itertools import groupby, product
+from math import comb, prod
 from operator import getitem
 
 from .graphs import (
@@ -19,7 +22,6 @@ from .graphs import (
     _bridges,
     canonical_key,
     check_budget,
-    component_count,
     edge_subsets,
     rank_corank,
     spin_counts,
@@ -31,74 +33,27 @@ class BivariatePolynomial:
     """Sparse polynomial in two variables with big-integer coefficients.
 
     Terms map (degree in first variable, degree in second variable) to a
-    nonzero coefficient.  Univariate polynomials use the first variable.
+    nonzero coefficient; zero coefficients given are dropped.  Univariate
+    polynomials use the first variable.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, c in dict(terms).items():
-                if c:
-                    self.terms[k] = c
-
-    @classmethod
-    def zero(cls) -> "BivariatePolynomial":
-        return cls()
+    def __init__(self, terms=()):
+        self.terms = {k: c for k, c in dict(terms).items() if c}
 
     @classmethod
     def constant(cls, c) -> "BivariatePolynomial":
         return cls({(0, 0): c})
 
-    @classmethod
-    def monomial(cls, i: int, j: int, c=1) -> "BivariatePolynomial":
-        return cls({(i, j): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         return isinstance(other, BivariatePolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return BivariatePolynomial(out)
-
-    def __mul__(self, other):
-        if self.terms == {(0, 0): 1} and isinstance(other, BivariatePolynomial):
-            return BivariatePolynomial(other.terms)  # shares other's key tuples
-        if not isinstance(other, BivariatePolynomial):
-            return BivariatePolynomial(
-                {k: c * other for k, c in self.terms.items()}
-            )
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BivariatePolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = BivariatePolynomial.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            out[k] = out.get(k, 0) + c
+        return BivariatePolynomial(out)  # drops the coefficients that cancelled
 
     def evaluate(self, x, y):
         return eval_terms(self.terms, x, y)
@@ -152,6 +107,18 @@ def eval_terms(terms, *xs):
         return sum(reduce(lambda t, xe: t * xe[0] ** xe[1], zip(xs, es), c) for es, c in terms.items())
     weights, den = term_weights(terms, *xs)
     return sum(weights) if den is None else Fraction(sum(weights), den)
+
+
+def _shift(terms, shifts) -> dict:
+    """The term map of the sum of c * (x1 + s1)^e1 * (x2 + s2)^e2 * ... over
+    ``terms`` (nonnegative exponents), each power expanded by the binomial
+    theorem: (x + s)^e = sum over j of C(e, j) s^(e-j) x^j.  Exact for int
+    and Fraction shifts; coefficients that cancel are dropped."""
+    out = {}
+    for es, c in terms.items():
+        for js in product(*(range(e + 1) for e in es)):
+            out[js] = out.get(js, 0) + c * prod(comb(e, j) * s ** (e - j) for e, j, s in zip(es, js, shifts))
+    return {js: c for js, c in out.items() if c}
 
 
 def eval_poly(p: BivariatePolynomial, x, y):
@@ -279,14 +246,9 @@ def tutte_from_rank_gen(g: Multigraph) -> BivariatePolynomial:
     For a graph with k components T(x, y) = (x-1)^(|V|-k) W(1/(x-1), y-1);
     each W-term u^r v^c maps to (x-1)^(r(E)-r) (y-1)^c.
     """
-    w = rank_gen_poly(g)
     r_full, _ = rank_corank(g, g.full_subset())
-    x1 = BivariatePolynomial({(1, 0): 1, (0, 0): -1})  # x - 1
-    y1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1})  # y - 1
-    out = BivariatePolynomial.zero()
-    for (r, c), coeff in w.terms.items():
-        out = out + coeff * (x1 ** (r_full - r)) * (y1**c)
-    return out
+    terms = {(r_full - r, c): coeff for (r, c), coeff in rank_gen_poly(g).terms.items()}
+    return BivariatePolynomial(_shift(terms, (-1, -1)))
 
 
 def multivariate_tutte(g: Multigraph, q, weights):
@@ -321,16 +283,10 @@ def chromatic_poly(g: Multigraph, cache: TutteCache | None = None) -> BivariateP
     A loop kills every proper colouring, giving the zero polynomial.
     """
     t = tutte_poly(g, cache)
-    full = g.full_subset()
-    r_full, _ = rank_corank(g, full)
-    k_full = component_count(g, full)
-    one_minus_q = BivariatePolynomial({(0, 0): 1, (1, 0): -1})
-    out = BivariatePolynomial.zero()
-    for (i, j), c in t.terms.items():
-        if j == 0:
-            out = out + c * (one_minus_q**i)
-    sign = -1 if r_full % 2 else 1
-    return sign * (BivariatePolynomial.monomial(k_full, 0) * out)
+    r_full, _ = rank_corank(g, g.full_subset())
+    # (1-q)^i = (-1)^i (q-1)^i, and q^k(G) with k(G) = |V| - r(E)
+    terms = _shift({(i,): (-1) ** (r_full + i) * c for (i, j), c in t.terms.items() if j == 0}, (-1,))
+    return BivariatePolynomial({(i + g.n - r_full, 0): c for (i,), c in terms.items()})
 
 
 def flow_poly(g: Multigraph) -> BivariatePolynomial:

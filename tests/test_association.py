@@ -418,6 +418,20 @@ class TestQToZero:
         rising = q_to_zero_limit_check(triangle(), "ust", [F(1, 10**6), F(1, 10**2)])
         assert not rising["monotone"] and not rising["pass"]
 
+    @pytest.mark.parametrize(("g", "rate"), [(triangle(), F(4, 3)), (cycle(4), F(7, 4))], ids=["triangle", "C4"])
+    def test_ust_rate_bound_fails_at_twice_q(self, monkeypatch, g, rate):
+        # a known-false control: phi_{p,2q} along p = sqrt(q) is monotone
+        # but misses the rate bound C*sqrt(q), with final TVs 2.33e-3 and
+        # 3.24e-3.  Its TV/(C*sqrt(q)) tends to (U + 2 F2)/(U + F2), 7/4 on
+        # the triangle and 13/7 on C4, so a gate at twice the bound would
+        # pass it
+        real = association.rc_measure_table
+        monkeypatch.setattr(association, "rc_measure_table", lambda h, params: real(h, RCParams(params.p, 2 * params.q)))
+        rep = q_to_zero_limit_check(g, "ust")
+        bound = rate * F(1, 1000)
+        assert rep["monotone"] and bound < F(rep["tv"][-1]) < 2 * bound
+        assert not rep["pass"]
+
     @pytest.mark.parametrize("regime", ["ucs", "usf"])
     def test_final_tv_above_the_target_fails(self, regime):
         # a known-false control: the final TV misses the 1e-3 target by less

@@ -41,8 +41,8 @@ from rcpotts.polynomials import (
 from .conftest import RATIONAL_POINTS_20, agreement_oracle, brute_force_flow_count, seeded_multigraph
 
 F = Fraction
-X = BivariatePolynomial.monomial(1, 0)
-Y = BivariatePolynomial.monomial(0, 1)
+X = BivariatePolynomial({(1, 0): 1})
+Y = BivariatePolynomial({(0, 1): 1})
 ONE = BivariatePolynomial.constant(1)
 
 
@@ -83,7 +83,7 @@ class TestTutte:
         assert tutte_poly(Multigraph(1, ((0, 0),))) == Y
 
     def test_triangle(self):
-        assert tutte_poly(triangle()) == X * X + X + Y
+        assert tutte_poly(triangle()) == BivariatePolynomial({(2, 0): 1, (1, 0): 1, (0, 1): 1})
 
     def test_matches_rank_gen_route_small_family(self):
         cache = TutteCache()
@@ -239,8 +239,8 @@ class TestTutte:
         common = [k for k in b.terms if k in shared]
         assert len(common) == 3 and all(shared[k] is k for k in common)
         # above rank or corank 31 the keys come from a table of the call's own
-        assert tutte_poly(path(41)) == X**40
-        assert tutte_poly(Multigraph(1, ((0, 0),) * 40)) == Y**40
+        assert tutte_poly(path(41)) == BivariatePolynomial({(40, 0): 1})
+        assert tutte_poly(Multigraph(1, ((0, 0),) * 40)) == BivariatePolynomial({(0, 40): 1})
 
     def test_spanning_tree_count_honours_subset_cap(self):
         with pytest.raises(EnumerationCapExceeded):
@@ -274,16 +274,24 @@ class TestChromatic:
 
     def test_loop_kills_colourings(self):
         g = Multigraph(2, ((0, 1), (1, 1)))
-        assert chromatic_poly(g).is_zero()
+        assert chromatic_poly(g) == BivariatePolynomial()
 
     def test_matches_enumeration_oracle(self):
-        cache = TutteCache()
-        for g in graphs_with_few_edges(6):
-            if g.n > 7:
-                continue
+        # the simple graphs of up to 6 edges, then seeded multigraphs with
+        # loops, parallel edges and several components, where q^k(G) has
+        # k(G) > 1
+        cache, rng, seen = TutteCache(), random.Random(29), set()
+        graphs = [g for g in graphs_with_few_edges(6) if g.n <= 7]
+        graphs += [seeded_multigraph(rng, loops=True) for _ in range(60)]
+        for g in graphs:
             chi = chromatic_poly(g, cache)
             for q in range(1, 6):
                 assert eval_poly(chi, F(q), F(0)) == count_proper_colourings(g, q)
+            loop = any(u == v for u, v in g.edges)
+            seen.update(k for k, flag in (("loop", loop),
+                                           ("parallel", len(set(g.edges)) < g.m),
+                                           ("several components, no loop", not loop and not is_connected(g))) if flag)
+        assert seen == {"loop", "parallel", "several components, no loop"}
 
     def test_colouring_count_matches_agreement_oracle(self):
         # multigraphs with loops (no proper colouring), q = 1, and n = 0 (one empty colouring)
@@ -307,7 +315,7 @@ class TestFlowPoly:
         assert eval_poly(c, F(3), F(0)) == 2
 
     def test_bridge_zero(self):
-        assert flow_poly(Multigraph(2, ((0, 1),))).is_zero()
+        assert flow_poly(Multigraph(2, ((0, 1),))) == BivariatePolynomial()
 
     def test_matches_brute_force_family(self):
         for g in connected_multigraphs_upto(3, 4):
@@ -326,6 +334,11 @@ class TestEvalAndSerialization:
     def test_eval_w_at_ones_counts_subsets(self):
         assert eval_poly(rank_gen_poly(triangle()), F(1), F(1)) == 8
 
+    def test_add_cancels_to_zero(self):
+        p = BivariatePolynomial({(1, 0): 3, (0, 2): -1})
+        assert p + BivariatePolynomial({(1, 0): -3, (0, 2): 1}) == BivariatePolynomial()
+        assert (p + BivariatePolynomial({(1, 0): -3})).terms == {(0, 2): -1}
+
     def test_json_roundtrip(self):
         t = tutte_poly(cycle(4))
         assert BivariatePolynomial.from_json_dict(t.to_json_dict()) == t
@@ -340,8 +353,8 @@ def _exact_bases(k):
     return st.lists(base, min_size=k, max_size=k)
 
 
-def _terms(k):
-    return st.dictionaries(st.tuples(*[st.integers(-4, 7)] * k), st.integers(-40, 40), max_size=9)
+def _terms(k, lo=-4):
+    return st.dictionaries(st.tuples(*[st.integers(lo, 7)] * k), st.integers(-40, 40), max_size=9)
 
 
 class TestEvalTerms:
@@ -390,6 +403,22 @@ class TestEvalTerms:
             want += c
         got = eval_terms(terms, *xs)
         assert type(got) is type(want) and repr(got) == repr(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_shift_evaluates_at_the_shifted_point(self, data):
+        # _shift expands each (x_v + s_v)^e_v, so its terms at xs are the
+        # input terms at xs + shifts, for int and Fraction shifts
+        k = data.draw(st.integers(1, 2))
+        xs, shifts, terms = data.draw(_exact_bases(k)), data.draw(_exact_bases(k)), data.draw(_terms(k, lo=0))
+        shifted = polynomials._shift(terms, shifts)
+        assert all(shifted.values())
+        assert eval_terms(shifted, *xs) == eval_terms(terms, *(x + s for x, s in zip(xs, shifts)))
+
+    def test_shift_binomial_rows(self):
+        assert polynomials._shift({(3,): 1}, (-1,)) == {(3,): 1, (2,): -3, (1,): 3, (0,): -1}
+        assert polynomials._shift({(1, 2): 2, (0, 0): -2}, (F(1, 2), 1)) == {
+            (1, 2): 2, (1, 1): 4, (1, 0): 2, (0, 2): 1, (0, 1): 2, (0, 0): -1}
 
     def test_empty_terms(self):
         for xs in [(F(1, 2),), (0, F(-3)), (F(0), F(0), F(0)), (0.5, 2)]:

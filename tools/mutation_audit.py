@@ -11,7 +11,7 @@ every test passes.  The unmutated copy runs first and must pass.
 Uncommitted changes are not audited: commit them first.  Each run takes about as long as
 tier-1 for a survivor and less for a killed mutant.  Exits 1 if the
 unmutated copy fails, 2 if a mutant no longer applies (its line changed),
-else 0.
+3 if not but a mutant survives, else 0.
 """
 
 from __future__ import annotations
@@ -84,6 +84,12 @@ MUTANTS = [
      '"pass": ok,', '"pass": True,'),
     ("K_n rate convergence always passing", "asymptotics.py",
      '"pass": monotone and gaps[-1] < 0.2,', '"pass": True,'),
+    ("binomial shift with the power of s at j", "polynomials.py",
+     "s ** (e - j)", "s ** j"),
+    ("binomial shift without the binomial factor", "polynomials.py",
+     "comb(e, j) * s ** (e - j)", "s ** (e - j)"),
+    ("chromatic sign without r(E)", "polynomials.py",
+     "(-1) ** (r_full + i)", "(-1) ** i"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
@@ -144,7 +150,7 @@ def main() -> int:
                 killed.append(name)
                 print(f"killed    {name} ({took}) by {detail.removeprefix('FAILED ').removeprefix('ERROR ')}", flush=True)
     print(f"{len(killed)} of {len(MUTANTS)} mutants killed; survived: {', '.join(survived) or 'none'}")
-    return status
+    return status or (3 if survived else 0)
 
 
 if __name__ == "__main__":
