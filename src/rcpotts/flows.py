@@ -6,9 +6,9 @@ enumerator over edge values (the oracle) and parallel reduction, which merges
 each bundle of parallel edges into one edge of the multivariate Tutte sum so
 that a Poisson-thickened graph's flow polynomial, at integer, rational or
 real q, is one pass over its base graph's edge subsets (fast enough for
-Monte Carlo).  The Monte Carlo ratios tabulate those subsets' terms once
-per call and evaluate every sample through ``eval_terms``, in integers over
-one common denominator; q and p are read by the readers in ``measures``.
+Monte Carlo).  The Monte Carlo ratios list the subsets' integer coefficients
+once per call and fold each distinct sample into them by integer multiply-
+adds (``_flow_pairs``); q and p are read by the readers in ``measures``.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def orientation_invariance_check(g: Multigraph, q: int, n_orientations: int = 20
 # q^k(A) prod_{e in A} v_e (Sokal 2005), a bundle of m parallel edges acts as
 # one edge with 1 + v = prod (1 + v_i), and C(G; q) = (-1)^|E| q^-|V| Z_G(q, -q).
 # So a base edge carrying m_e copies has v_e = (1 - q)^m_e - 1, and the flow
-# count of a thickened graph is one pass over the base graph's edge subsets.
+# count of a thickened graph is one pass over the base graph's edge subsets:
+# a Tutte evaluation here, an integer fold of that pass in ``_flow_pairs``.
 
 def flow_count_multiplicities(g: Multigraph, mult, q):
     """Flow polynomial at q of the thickened graph G_m, whose base edge e
@@ -102,7 +103,8 @@ def _flow_value(total, q, n: int, edges: int):
     exact int at integer q."""
     if isinstance(q, int):
         count, rem = divmod(total, q**n)
-        assert rem == 0, "flow sum not divisible by q^|V|"
+        if rem:
+            raise ArithmeticError("flow sum not divisible by q^|V|")
         return (-1) ** edges * count
     return (-1) ** edges * total / q**n
 
@@ -140,24 +142,32 @@ def poisson_sample(
 
 def _flow_pairs(g: Multigraph, x: int, y: int, q, tuples) -> dict:
     """(C(G_m^{x,y}; q), C(G_m; q)) for each multiplicity tuple m, exact at
-    q as ``measures._exact_q`` reads it.  Both come from one pass over the
-    (x, y)-extension's subsets, tabulated once as terms (k(A), bit of each
-    base edge in A), split by whether A holds the extra edge: with Z0 and Z1
-    the ``eval_terms`` sums of the two tables, G's Tutte sum is Z0 and the
-    extension's Z0 - q Z1, the extra edge's weight being (1 - q) - 1.  The
-    tables hold 2^(|E| + 1) entries, within the table budget.
+    q = a/b as ``measures._exact_q`` reads it.  Scaled by b^m_e, edge e weighs
+    b^m_e outside A and (b - a)^m_e - b^m_e in it; folding the base edges,
+    lowest bit first, into c_A = a^k(A) b^(|V|-k(A)) over the 2^(|E| + 1)
+    subsets of the (x, y)-extension (a table within budget) leaves S0 and S1,
+    A without and with xy: C(G_m) = (-1)^M S0 / (a^|V| b^M) and the
+    extension's is (-1)^(M+1) (b S0 - a S1) / (a^|V| b^(M+1)), M = sum m.
     """
     q = _exact_q(q)
+    a, b = q.as_integer_ratio()
     gx = Multigraph(g.n, g.edges + ((x, y),))
     check_budget("table", 1 << gx.m)
-    terms = ({}, {})  # A without and with the extra edge, edge g.m of gx
-    for a, k, _ in edge_subsets(gx):
-        terms[a >> g.m][(k, *(a >> i & 1 for i in range(g.m)))] = 1
-    values = {}
-    for mult in tuples:
-        weights = [(1 - q) ** m_e - 1 for m_e in mult]
-        z0, z1 = (eval_terms(t, q, *weights) for t in terms)
-        values[mult] = (_flow_value(z0 - q * z1, q, g.n, sum(mult) + 1), _flow_value(z0, q, g.n, sum(mult)))
+    folds, prev = [[a**k * b ** (g.n - k) for _, k, _ in edge_subsets(gx)]], ()
+    values = dict.fromkeys(tuples)  # filled in sorted order; folds[j] has prev's first j edges folded
+    for mult in sorted(values):
+        i = next((j for j, (s, t) in enumerate(zip(mult, prev)) if s != t), len(prev))
+        del folds[i + 1:]
+        for m_e in mult[i:]:
+            out, inn, v = b**m_e, (b - a) ** m_e - b**m_e, folds[-1]
+            folds.append([lo * out + hi * inn for lo, hi in zip(v[::2], v[1::2])])
+        (s0, s1), prev, edges = folds[-1], mult, sum(mult)
+        ext = b * s0 - a * s1  # the extension's sum over a^|V| b^(M+1), up to (-1)^(M+1)
+        if isinstance(q, int):
+            values[mult] = (_flow_value(ext, q, g.n, edges + 1), _flow_value(s0, q, g.n, edges))
+        else:
+            den = (-1) ** edges * a**g.n * b**edges
+            values[mult] = (Fraction(-ext, den * b), Fraction(s0, den))
     return values
 
 

@@ -16,11 +16,11 @@ import numpy as np
 
 # The one enumeration budget: the most configurations of each kind that any
 # call may enumerate or store.  "table" counts the entries of an explicit
-# measure table or of the flow estimators' term tables (about 209 B each),
-# "minors" the entries of one deletion-contraction memo (one int of at most
-# (r + 1)(c + 1)(|E| + 1) bits each; the 4x5 grid's 594 entries peak at
-# 0.8 MB traced), "kn_terms" the terms one exact recursion on the complete
-# graph K_n sums.
+# measure table or of the flow estimators' coefficient list (about 40 B an
+# entry, its folds included), "minors" the entries of one deletion-contraction
+# memo (one int of at most (r + 1)(c + 1)(|E| + 1) bits each; the 4x5 grid's
+# 594 entries peak at 0.8 MB traced), "kn_terms" the terms one exact
+# recursion on the complete graph K_n sums.
 BUDGET = {"subsets": 1 << 24, "spins": 10**7, "flows": 10**8, "table": 1 << 20, "minors": 1 << 18, "kn_terms": 1 << 14}
 
 

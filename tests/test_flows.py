@@ -115,8 +115,8 @@ class TestBundleRoute:
 
 
 def _before_any_table(estimator, q):
-    """The estimator at q with the subset pass that fills its term tables
-    failing, so that only a refusal before tabulating raises the cap."""
+    """The estimator at q with the subset pass that fills its coefficient
+    list failing, so that only a refusal before tabulating raises the cap."""
     def call(g):
         with mock.patch("rcpotts.flows.edge_subsets", side_effect=AssertionError("a term table was built")):
             return estimator(g, 0.5, q, 0, 1, SamplerConfig(samples=10))
@@ -124,9 +124,9 @@ def _before_any_table(estimator, q):
 
 
 # The estimators also enumerate the (x, y)-extension, one edge more than the
-# base graph, so they refuse 24 base edges; the others refuse 25.  Their two
-# term tables hold 2^(|E| + 1) entries, so the table budget already refuses
-# 20 base edges, before any table is built.
+# base graph, so they refuse 24 base edges; the others refuse 25.  Their
+# coefficient list holds 2^(|E| + 1) entries, so the table budget already
+# refuses 20 base edges, before any list is built.
 @pytest.mark.parametrize(
     ("call", "m"),
     [
@@ -156,7 +156,7 @@ def test_enumeration_cap(call, m):
 ], ids=["triangle", "C4", "MULTI"])
 @pytest.mark.parametrize("q", [F(1, 2), F(3, 2), F(5, 2), 3])
 def test_estimators_term_table_matches_bundle_route(g, x, y, q):
-    # the estimators' subset-term tables, read per multiplicity tuple, against
+    # the estimators' integer fold, per multiplicity tuple, against
     # flow_count_multiplicities on G and its (x, y)-extension
     rng = make_rng(17)
     tuples = dict.fromkeys(tuple(row) for row in rng.poisson(0.8, size=(60, g.m)).tolist())
@@ -166,6 +166,48 @@ def test_estimators_term_table_matches_bundle_route(g, x, y, q):
         expected = (flow_count_multiplicities(extended, mult + (1,), q), flow_count_multiplicities(g, mult, q))
         assert (num, den) == expected
         assert (type(num), type(den)) == tuple(map(type, expected))
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, F(3, 2), F(5, 2), F(1, 2), 1.3], ids=repr)
+def test_fold_matches_bundle_route_on_seeded_multigraphs(q):
+    # loops, parallel edges, isolated vertices, x and y already adjacent and a
+    # base graph with no edge all occur in these draws; multiplicities 0-6.
+    # At integer q the brute-force count on the realized graphs also agrees.
+    exact, rng, seen = F(q) if isinstance(q, float) else q, make_rng(30), set()
+    for _ in range(40):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(0, 6))
+        g = random_multigraph(n, m, rng, loops=True)
+        x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+        seen |= {name for name, hit in [
+            ("loop", any(u == v for u, v in g.edges)), ("parallel", len(set(g.edges)) < m),
+            ("isolated", len({v for e in g.edges for v in e}) < n), ("edgeless", m == 0),
+            ("adjacent", any({u, v} == {x, y} for u, v in g.edges))] if hit}
+        tuples = dict.fromkeys(tuple(row) for row in rng.integers(0, 7, size=(12, m)).tolist())
+        extended = Multigraph(n, g.edges + ((x, y),))
+        for mult, pair in _flow_pairs(g, x, y, q, tuples).items():
+            expected = (flow_count_multiplicities(extended, mult + (1,), exact),
+                        flow_count_multiplicities(g, mult, exact))
+            assert pair == expected
+            assert tuple(map(type, pair)) == tuple(map(type, expected))
+            if isinstance(q, int) and (q - 1) ** (sum(mult) + 1) <= 1000:
+                realized = (PoissonGraphSample(g, mult, (x, y)).realize(), PoissonGraphSample(g, mult).realize())
+                assert pair == tuple(count_flows(h, q) for h in realized)
+    assert seen == {"loop", "parallel", "isolated", "edgeless", "adjacent"}
+
+
+@pytest.mark.parametrize("q", [3, F(3, 2), 1.3], ids=repr)
+def test_fold_of_no_tuples_is_empty(q):
+    assert _flow_pairs(cycle(4), 0, 2, q, {}) == {}
+
+
+def test_non_divisible_flow_sum_raises():
+    # a Tutte sum one off is not a multiple of q^|V|; a raise, so python -O keeps the check
+    with pytest.raises(ArithmeticError, match="flow sum not divisible by q"):
+        flows._flow_value(7, 2, 2, 0)
+    real = flows.multivariate_tutte
+    with mock.patch.object(flows, "multivariate_tutte", lambda g, q, w: real(g, q, w) + 1):
+        with pytest.raises(ArithmeticError):
+            flow_count_multiplicities(triangle(), [1, 2, 0], 3)
 
 
 @pytest.mark.parametrize("q", [1.5, 2.5, 1.3, np.float32(1.3), np.float64(2.7)], ids=repr)

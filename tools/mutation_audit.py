@@ -90,6 +90,12 @@ MUTANTS = [
      "comb(e, j) * s ** (e - j)", "s ** (e - j)"),
     ("chromatic sign without r(E)", "polynomials.py",
      "(-1) ** (r_full + i)", "(-1) ** i"),
+    ("flow fold with the in and out weights swapped", "flows.py",
+     "lo * out + hi * inn", "lo * inn + hi * out"),
+    ("flow fold's extension sum with its sign flipped", "flows.py",
+     "ext = b * s0 - a * s1", "ext = a * s1 - b * s0"),
+    ("flow fold's extension over b^M, not b^(M+1)", "flows.py",
+     "Fraction(-ext, den * b)", "Fraction(-ext, den)"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
