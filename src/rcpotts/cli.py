@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from . import __version__
 from .graphs import EnumerationCapExceeded, Multigraph, from_json_dict, triangle, cycle
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("simon-scan", help="Simon inequality counterexample scan")
+    p = add("simon-scan", help="Simon inequality scan over every pair x < z of each connected atlas graph")
     p.add_argument("--p-grid", default="1/4,1/2,3/4")
     p.add_argument("--q-grid", default="1,3/2,2")
     p.add_argument("--max-vertices", type=int, default=5)
@@ -271,13 +272,9 @@ def run(argv=None) -> int:
             r = flow_correlation_mc(g, args.lam, args.q, args.x, args.y, cfg)
             report = {"command": args.cmd, "seed": args.seed, **r}
         elif args.cmd == "simon-scan":
-            reports = []
-            for g in simple_graphs(args.max_vertices, connected=True):
-                if g.n < 3:
-                    continue
-                for p in map(_frac, args.p_grid.split(",")):
-                    for q in map(_frac, args.q_grid.split(",")):
-                        reports.append(simon_check(g, p, q, 0, g.n - 1))
+            grid = [(p, q) for p in map(_frac, args.p_grid.split(",")) for q in map(_frac, args.q_grid.split(","))]
+            reports = [simon_check(g, p, q, x, z) for g in simple_graphs(args.max_vertices, connected=True)
+                       for x, z in combinations(range(g.n), 2) for p, q in grid]
             found = [v for r in reports for v in r["violations"]]
             report = {
                 "command": args.cmd,

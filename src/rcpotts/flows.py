@@ -6,9 +6,10 @@ enumerator over edge values (the oracle) and parallel reduction, which merges
 each bundle of parallel edges into one edge of the multivariate Tutte sum so
 that a Poisson-thickened graph's flow polynomial, at integer, rational or
 real q, is one pass over its base graph's edge subsets (fast enough for
-Monte Carlo).  The Monte Carlo ratios list the subsets' integer coefficients
-once per call and fold each distinct sample into them by integer multiply-
-adds (``_flow_pairs``); q and p are read by the readers in ``measures``.
+Monte Carlo).  The Monte Carlo ratios sort their draw array once, fold each
+distinct multiplicity row into the subsets' integer coefficients
+(``_flow_fold``) and gather the values; the q = 2 ratio counts odd vertices.
+q and p are read by the readers in ``measures``.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def orientation_invariance_check(g: Multigraph, q: int, n_orientations: int = 20
 # one edge with 1 + v = prod (1 + v_i), and C(G; q) = (-1)^|E| q^-|V| Z_G(q, -q).
 # So a base edge carrying m_e copies has v_e = (1 - q)^m_e - 1, and the flow
 # count of a thickened graph is one pass over the base graph's edge subsets:
-# a Tutte evaluation here, an integer fold of that pass in ``_flow_pairs``.
+# a Tutte evaluation here, an integer fold of that pass in ``_flow_fold``.
 
 def flow_count_multiplicities(g: Multigraph, mult, q):
     """Flow polynomial at q of the thickened graph G_m, whose base edge e
@@ -140,22 +141,22 @@ def poisson_sample(
     return PoissonGraphSample(g, tuple(_poisson_draws(g, lam, rng, 1)[0].tolist()), attach)
 
 
-def _flow_pairs(g: Multigraph, x: int, y: int, q, tuples) -> dict:
-    """(C(G_m^{x,y}; q), C(G_m; q)) for each multiplicity tuple m, exact at
-    q = a/b as ``measures._exact_q`` reads it.  Scaled by b^m_e, edge e weighs
-    b^m_e outside A and (b - a)^m_e - b^m_e in it; folding the base edges,
-    lowest bit first, into c_A = a^k(A) b^(|V|-k(A)) over the 2^(|E| + 1)
-    subsets of the (x, y)-extension (a table within budget) leaves S0 and S1,
-    A without and with xy: C(G_m) = (-1)^M S0 / (a^|V| b^M) and the
-    extension's is (-1)^(M+1) (b S0 - a S1) / (a^|V| b^(M+1)), M = sum m.
+def _flow_fold(g: Multigraph, x: int, y: int, q, tuples):
+    """Yield (m, C(G_m^{x,y}; q), C(G_m; q)) for each m of the sorted
+    ``tuples`` (neighbours share the folds of their common prefix), each
+    value an int (numerator, denominator), exact at q = a/b as
+    ``measures._exact_q`` reads it.  Scaled by b^m_e, edge e weighs b^m_e
+    outside A and (b - a)^m_e - b^m_e in it; folding the base edges, lowest
+    bit first, into c_A = a^k(A) b^(|V|-k(A)) over the 2^(|E| + 1) subsets of
+    the (x, y)-extension (a table within budget) leaves S0 and S1, A without
+    and with xy: C(G_m) = (-1)^M S0 / (a^|V| b^M) and the extension's is
+    (-1)^(M+1) (b S0 - a S1) / (a^|V| b^(M+1)), M = sum m.
     """
-    q = _exact_q(q)
     a, b = q.as_integer_ratio()
     gx = Multigraph(g.n, g.edges + ((x, y),))
     check_budget("table", 1 << gx.m)
     folds, prev = [[a**k * b ** (g.n - k) for _, k, _ in edge_subsets(gx)]], ()
-    values = dict.fromkeys(tuples)  # filled in sorted order; folds[j] has prev's first j edges folded
-    for mult in sorted(values):
+    for mult in tuples:  # folds[j] has prev's first j edges folded
         i = next((j for j, (s, t) in enumerate(zip(mult, prev)) if s != t), len(prev))
         del folds[i + 1:]
         for m_e in mult[i:]:
@@ -164,17 +165,27 @@ def _flow_pairs(g: Multigraph, x: int, y: int, q, tuples) -> dict:
         (s0, s1), prev, edges = folds[-1], mult, sum(mult)
         ext = b * s0 - a * s1  # the extension's sum over a^|V| b^(M+1), up to (-1)^(M+1)
         if isinstance(q, int):
-            values[mult] = (_flow_value(ext, q, g.n, edges + 1), _flow_value(s0, q, g.n, edges))
+            yield mult, (_flow_value(ext, q, g.n, edges + 1), 1), (_flow_value(s0, q, g.n, edges), 1)
         else:
             den = (-1) ** edges * a**g.n * b**edges
-            values[mult] = (Fraction(-ext, den * b), Fraction(s0, den))
+            yield mult, (-ext, den * b), (s0, den)
+
+
+def _flow_pairs(g: Multigraph, x: int, y: int, q, tuples) -> dict:
+    """``_flow_fold``'s pairs, as ints at integer q and ``Fraction``s otherwise."""
+    q = _exact_q(q)
+    values = dict.fromkeys(tuples)  # filled in sorted order, returned in the given one
+    for mult, ext, flow in _flow_fold(g, x, y, q, sorted(values)):
+        values[mult] = (ext[0], flow[0]) if isinstance(q, int) else (Fraction(*ext), Fraction(*flow))
     return values
 
 
 def flow_correlation_mc(g: Multigraph, lam: float, q, x: int, y: int, cfg) -> dict:
     """Estimate E[C(G_P^{x,y}; q)] / E[C(G_P; q)] over ``cfg.samples``
-    Poisson(lam) thickenings, evaluating G and its (x, y)-extension once per
-    distinct multiplicity tuple.
+    Poisson(lam) thickenings.  One lexsort of the draws gives the distinct
+    multiplicity rows and each sample's index into them; each row is folded
+    once, its int / int divided straight to a float (rounded as its
+    ``Fraction`` would be), and one gather gives every sample its values.
 
     Under the beta = lam*q bridge this ratio equals q*tau_{beta,q}(x,y).
     """
@@ -183,10 +194,14 @@ def flow_correlation_mc(g: Multigraph, lam: float, q, x: int, y: int, cfg) -> di
     if x == y:
         raise ValueError("x and y must be distinct")
     draws = _poisson_draws(g, lam, make_rng(cfg.seed), cfg.samples)
-    draws = [tuple(row) for row in draws.tolist()]
-    pairs = _flow_pairs(g, x, y, q, dict.fromkeys(draws))
-    values = {m: (float(num), float(den)) for m, (num, den) in pairs.items()}  # once per value, not per sample
-    return _ratio_estimate([values[m][0] for m in draws], [values[m][1] for m in draws])
+    order = np.lexsort(draws.T[::-1]) if g.m else np.arange(cfg.samples)
+    rows, new = draws[order], np.ones(cfg.samples, dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])  # a row unlike the one before it
+    index = np.empty_like(order)
+    index[order] = np.cumsum(new) - 1  # each sample's distinct tuple
+    fold = _flow_fold(g, x, y, q, list(map(tuple, rows[new].tolist())))
+    nums, dens = np.array([(en / ed, n / d) for _, (en, ed), (n, d) in fold]).T
+    return _ratio_estimate(nums[index], dens[index])
 
 
 def _ratio_estimate(nums, dens) -> dict:
@@ -203,7 +218,8 @@ def _ratio_estimate(nums, dens) -> dict:
 
 def even_ratio_mc(g: Multigraph, lam: float, x: int, y: int, cfg) -> dict:
     """Estimate Pr(G_P^{x,y} even) / Pr(G_P even); the q = 2 special case of
-    the flow-correlation ratio, using only degree parities."""
+    the flow-correlation ratio, from each sample's count of odd vertices:
+    G_P is even at 0, and G_P^{x,y} when the 2 odd ones are x and y."""
     g.check_vertices(x, y)
     if x == y:
         raise ValueError("x and y must be distinct")
@@ -212,10 +228,9 @@ def even_ratio_mc(g: Multigraph, lam: float, x: int, y: int, cfg) -> dict:
     for i, (u, v) in enumerate(g.edges):
         if u != v:
             incidence[i, [u, v]] = 1
-    odd = draws @ incidence % 2
-    odd_xy = odd.copy()
-    odd_xy[:, [x, y]] ^= 1
-    return _ratio_estimate(~odd_xy.any(axis=1), ~odd.any(axis=1))
+    odd = draws @ incidence & 1
+    count = odd.sum(axis=1)
+    return _ratio_estimate((count == 2) & (odd[:, x] + odd[:, y] == 2), count == 0)
 
 
 def flow_connection_mc(

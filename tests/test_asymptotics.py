@@ -144,6 +144,12 @@ class TestTheta:
         with pytest.raises(ValueError):
             theta(-1.0, 2.0)
 
+    @pytest.mark.parametrize(("lam", "q"), [(0.0, 2.0), (0.0, 0.5), (1.0, 0.0)])
+    def test_zero_lambda_or_q_rejected(self, lam, q):
+        # lambda = 0 lies below every lambda_c, so only the reader stops it returning 0.0
+        with pytest.raises(ValueError, match="lambda and q must be positive"):
+            theta(lam, q)
+
 
 def _pinned_points():
     """The benchmark's (lam, q) grid, lambda_c(q) (1 +- 1e-12) for q > 2 and

@@ -4,11 +4,15 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from rcpotts.cli import run
+from rcpotts.families import simple_graphs
+from rcpotts.flows import simon_check
 from rcpotts.graphs import BUDGET
 from rcpotts.polynomials import BivariatePolynomial
 
@@ -86,6 +90,26 @@ class TestSampling:
         )
         assert code == 0
         assert abs(rep["estimate"] - math.tanh(0.5)) < 5 * rep["se"] + 1e-12
+
+
+class TestSimonScan:
+    def test_scans_every_pair(self, capsys):
+        # every pair x < z of every connected atlas graph with at most 4
+        # vertices; the pair (0, n - 1) alone is adjacent in all of them
+        argv = ["simon-scan", "--max-vertices", "4", "--p-grid", "1/3,1/2", "--q-grid", "1,2"]
+        code, rep = run_json(capsys, argv)
+        grid = [(F(1, 3), F(1)), (F(1, 3), F(2)), (F(1, 2), F(1)), (F(1, 2), F(2))]
+        graphs = simple_graphs(4, connected=True)
+        expected = sum(simon_check(g, p, q, x, z)["instances"]
+                       for g in graphs for x, z in combinations(range(g.n), 2) for p, q in grid)
+        ends = sum(simon_check(g, p, q, 0, g.n - 1)["instances"] for g in graphs if g.n > 1 for p, q in grid)
+        assert code == 0
+        assert rep["instances"] == expected > ends == 0
+        assert rep["violations"] == [] and rep["pass"] and rep["informational"]
+
+    def test_default_grid(self, capsys):
+        code, rep = run_json(capsys, ["simon-scan"])
+        assert (code, rep["instances"], rep["violations"]) == (0, 2709, [])
 
 
 class TestVerify:

@@ -262,6 +262,50 @@ def test_float_q_stream_is_the_fraction_stream(name, seed):
     assert (conn["estimate"], conn["se"], conn["n"], conn["lambda"]) == SEEDED_STREAMS[name, seed][1]
 
 
+def _seeded_estimator_cases(seed):
+    """(g, x, y, lam, cfg, draws) on 25 seeded multigraphs with loops, parallel
+    edges, isolated vertices and no edge at all, 1-199 samples each; draws are
+    the samples' multiplicity tuples in draw order."""
+    rng, seen = make_rng(seed), set()
+    for _ in range(25):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(0, 6))
+        g = random_multigraph(n, m, rng, loops=True)
+        x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+        seen |= {name for name, hit in [
+            ("loop", any(u == v for u, v in g.edges)), ("parallel", len(set(g.edges)) < m),
+            ("isolated", len({v for e in g.edges for v in e}) < n), ("edgeless", m == 0)] if hit}
+        lam = float(rng.uniform(0.2, 1.2))
+        cfg = SamplerConfig(seed=int(rng.integers(1000)), samples=int(rng.integers(1, 200)))
+        draws = [tuple(row) for row in flows._poisson_draws(g, lam, make_rng(cfg.seed), cfg.samples).tolist()]
+        yield g, x, y, lam, cfg, draws
+    assert seen == {"loop", "parallel", "isolated", "edgeless"}
+
+
+def _outcome(estimate):
+    try:
+        return repr(sorted(estimate().items()))  # repr, so that nan equals nan
+    except ZeroDivisionError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("q", [2, 3, F(3, 2), 1.3], ids=repr)
+def test_flow_estimate_is_the_per_sample_ratio(q):
+    # the reference keeps one entry per sample in draw order, float() of its
+    # exact pair: the sorted, gathered estimator must give the same floats
+    for g, x, y, lam, cfg, draws in _seeded_estimator_cases(32):
+        pairs = _flow_pairs(g, x, y, q, dict.fromkeys(draws))
+        nums, dens = ([float(pairs[m][i]) for m in draws] for i in (0, 1))
+        assert _outcome(lambda: flow_correlation_mc(g, lam, q, x, y, cfg)) == \
+            _outcome(lambda: flows._ratio_estimate(nums, dens))
+
+
+def test_even_estimate_is_the_per_sample_ratio():
+    # each realized sample, with and without the (x, y) edge, tested by is_even
+    for g, x, y, lam, cfg, draws in _seeded_estimator_cases(33):
+        nums, dens = ([is_even(PoissonGraphSample(g, m, attach).realize()) for m in draws] for attach in ((x, y), None))
+        assert _outcome(lambda: even_ratio_mc(g, lam, x, y, cfg)) == _outcome(lambda: flows._ratio_estimate(nums, dens))
+
+
 class TestPoissonSampling:
     def test_reproducible(self):
         a = poisson_sample(triangle(), 1.5, make_rng(9))

@@ -339,6 +339,11 @@ class TestEvalAndSerialization:
         assert p + BivariatePolynomial({(1, 0): -3, (0, 2): 1}) == BivariatePolynomial()
         assert (p + BivariatePolynomial({(1, 0): -3})).terms == {(0, 2): -1}
 
+    def test_repr(self):
+        assert repr(BivariatePolynomial()) == "BivariatePolynomial(0)"
+        p = BivariatePolynomial({(2, 0): 3, (0, 1): F(1, 2), (1, 1): 0})
+        assert repr(p) == "BivariatePolynomial(1/2*x^0*y^1 + 3*x^2*y^0)"
+
     def test_json_roundtrip(self):
         t = tutte_poly(cycle(4))
         assert BivariatePolynomial.from_json_dict(t.to_json_dict()) == t

@@ -95,7 +95,15 @@ MUTANTS = [
     ("flow fold's extension sum with its sign flipped", "flows.py",
      "ext = b * s0 - a * s1", "ext = a * s1 - b * s0"),
     ("flow fold's extension over b^M, not b^(M+1)", "flows.py",
-     "Fraction(-ext, den * b)", "Fraction(-ext, den)"),
+     "(-ext, den * b)", "(-ext, den)"),
+    ("each flow sample reading the sorted row at its own position", "flows.py",
+     "index[order] = np.cumsum(new) - 1", "index[:] = np.cumsum(new) - 1"),
+    ("even extension accepting more than two odd vertices", "flows.py",
+     "(count == 2)", "(count >= 2)"),
+    ("simon-scan on the pair (0, n - 1) only", "cli.py",
+     "for x, z in combinations(range(g.n), 2)", "for x, z in [(0, g.n - 1)] * (g.n > 2)"),
+    ("theta accepting lambda = 0", "asymptotics.py",
+     "if lam <= 0 or q <= 0:", "if lam < 0 or q <= 0:"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
